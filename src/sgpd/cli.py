@@ -27,11 +27,11 @@ from .core import (
     is_monic,
     validate_associativity,
 )
-from .covers import BoundExceededError, minimal_coverings
+from .covers import BoundExceededError, target_coverings
 from .kgraph import build_kgraph, rfns_check, slice_partition_check
 from .markov import build_markov, graphable, graphable_oracle
 from .relations import emit_cuntz_krieger, emit_generic, emit_kumjian_pask
-from .reps import Representation, check_axioms, check_tight
+from .reps import DimensionMismatch, Representation, check_axioms, check_tight
 from .springs import despring, find_springs
 
 
@@ -154,6 +154,8 @@ def cmd_despring(args, report: Report) -> int:
 
 
 def cmd_markov(args, report: Report) -> int:
+    if args.maxlen < 1:
+        raise formats.FormatError("--maxlen must be at least 1")
     matrix = formats.parse_mat01(_read(args.matrix))
     report.add("verb", "markov")
     report.add("alphabet", " ".join(matrix.alphabet))
@@ -225,13 +227,14 @@ def cmd_covers(args, report: Report) -> int:
     table = _load_table(args.table)
     required = [x for x in args.target_fg[0].split(",") if x]
     forbidden = [x for x in args.target_fg[1].split(",") if x]
+    unknown = sorted(set(required + forbidden) - table.elements)
+    if unknown:
+        raise formats.FormatError(f"--target-fg names unknown elements {unknown}")
     target = common_followers(table, required, forbidden, full=True)
     report.add("verb", "covers")
     report.add("target", " ".join(sorted(target)) or "-")
     try:
-        specs = minimal_coverings(
-            table, target, args.max_size, pool=target - table.boundary
-        )
+        specs = target_coverings(table, target, args.max_size)
     except BoundExceededError as exc:
         report.add("result", "bound-exceeded")
         report.add("oversized", " ".join(exc.oversized or []))
@@ -247,7 +250,10 @@ def cmd_covers(args, report: Report) -> int:
 def cmd_rep(args, report: Report) -> int:
     table = _load_table(args.table)
     dim, assign = formats.parse_rep(_read(args.rep))
-    rep = Representation(table, dim, assign)
+    try:
+        rep = Representation(table, dim, assign)
+    except DimensionMismatch as exc:
+        raise formats.FormatError(str(exc)) from exc
     report.add("verb", "rep")
     report.add("dim", dim)
     axioms = check_axioms(rep)

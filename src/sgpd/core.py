@@ -67,6 +67,30 @@ class _Unit:
 UNIT = _Unit()
 
 
+class UnionFind:
+    """Disjoint sets with path compression; the least item of a class is
+    its representative, so classes come out in a deterministic order."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+
+
 @dataclass(frozen=True)
 class AssociativityViolation:
     """A triple breaking one of the three axiom cases, re-checkable by hand.

@@ -6,14 +6,22 @@ equivalently a maximal pairwise-disjoint subset.  Tightness checks only
 need the inclusion-minimal coverings: the join of final projections is
 monotone in the covering, so equality on a sub-covering carries to every
 super-covering.
+
+The tightness scope is stated here once, for the checkers in ``reps``, the
+emitters in ``relations`` and the CLI.  Selector families (required,
+forbidden) are drawn from the non-boundary elements, and the required part
+starts with one element: an empty required part asserts a global
+nondegeneracy-style identity that a finite truncation cannot certify.  The
+coverings of a target set are pooled from the target minus the boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Iterator
 
-from .core import SemigroupoidTable, SgpdError, divides, intersects
+from .core import SemigroupoidTable, SgpdError, common_followers, divides, intersects
 
 
 class CandidateNotSubset(SgpdError):
@@ -189,3 +197,28 @@ def minimal_coverings(
             oversized=sorted(oversized[0]),
         )
     return [CoverSpec(target, s) for s in hitting]
+
+
+def target_coverings(
+    table: SemigroupoidTable, target: frozenset[str], max_size: int
+) -> list[CoverSpec]:
+    """The minimal coverings of a target, pooled from its non-boundary part."""
+    return minimal_coverings(table, target, max_size, pool=target - table.boundary)
+
+
+def selector_families(
+    table: SemigroupoidTable, max_fg: int, max_cover: int
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], list[CoverSpec]]]:
+    """(required, forbidden, coverings) for every selector family with up to
+    `max_fg` required (at least one) and forbidden non-boundary elements,
+    each part sorted; the coverings are those of the family's full common
+    followers, computed once per distinct target."""
+    active = sorted(table.elements - table.boundary)
+    subsets = [c for size in range(1, max_fg + 1) for c in combinations(active, size)]
+    coverings: dict[frozenset[str], list[CoverSpec]] = {}
+    for required in subsets:
+        for forbidden in [()] + subsets:
+            target = common_followers(table, required, forbidden, full=True)
+            if target not in coverings:
+                coverings[target] = target_coverings(table, target, max_cover)
+            yield required, forbidden, coverings[target]

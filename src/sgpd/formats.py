@@ -29,6 +29,13 @@ def _lines(text: str):
             yield lineno, line
 
 
+def _int(text: str, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad {what} {text.strip()!r}") from None
+
+
 def parse_sgpd(text: str) -> SemigroupoidTable:
     elements: set[str] = set()
     product: dict[tuple[str, str], str] = {}
@@ -114,7 +121,7 @@ def parse_kgr(text: str) -> KGraphSkeleton:
     squares: list[tuple[tuple[str, str], tuple[str, str]]] = []
     for lineno, line in _lines(text):
         if line.startswith("k:"):
-            k = int(line[2:].strip())
+            k = _int(line[2:], lineno, "rank")
         elif line.startswith("objects:"):
             objects = tuple(line[len("objects:") :].split())
         elif line.startswith("edge:"):
@@ -204,7 +211,7 @@ def parse_rep(text: str) -> tuple[int, dict[str, RatMat]]:
     assign: dict[str, RatMat] = {}
     for lineno, line in _lines(text):
         if line.startswith("dim:"):
-            dim = int(line[4:].strip())
+            dim = _int(line[4:], lineno, "dimension")
         else:
             m = re.fullmatch(r"(\S+)\s*=\s*(\[.*\])", line)
             if not m:

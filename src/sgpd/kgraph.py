@@ -16,10 +16,11 @@ are flagged boundary, mirroring the Markov truncation conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterable, Mapping, Sequence
 
-from .core import SemigroupoidTable, SgpdError, intersects
+from .core import SemigroupoidTable, SgpdError, UnionFind, intersects
 
 
 class InconsistentSquares(SgpdError):
@@ -67,12 +68,19 @@ class KGraphSkeleton:
                 raise ValueError(f"edge {e.name} has color outside 1..{self.k}")
             if e.src not in self.objects or e.dst not in self.objects:
                 raise ValueError(f"edge {e.name} has unknown endpoint")
+        for (a, b), (c, d) in self.squares:
+            for name in (a, b, c, d):
+                self.edge(name)
+
+    @cached_property
+    def _edge_by_name(self) -> dict[str, Edge]:
+        return {e.name: e for e in self.edges}
 
     def edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise ValueError(f"unknown edge {name!r}")
+        try:
+            return self._edge_by_name[name]
+        except KeyError:
+            raise ValueError(f"unknown edge {name!r}") from None
 
 
 def _degree(skeleton: KGraphSkeleton, word: Path) -> tuple[int, ...]:
@@ -179,33 +187,17 @@ def build_kgraph(
         frontier = new_frontier
 
     # square-move closure
-    parent: dict[Path, Path] = {w: w for w in words}
-
-    def find(w):
-        root = w
-        while parent[root] != root:
-            root = parent[root]
-        while parent[w] != root:
-            parent[w], w = root, parent[w]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    uf = UnionFind(words)
     for word in sorted(words):
         for i in range(len(word) - 1):
             pair = (word[i], word[i + 1])
             if pair in swap:
                 x, y = swap[pair]
-                union(word, word[:i] + (x, y) + word[i + 2 :])
+                uf.union(word, word[:i] + (x, y) + word[i + 2 :])
 
     classes: dict[Path, list[Path]] = {}
     for w in sorted(words):
-        classes.setdefault(find(w), []).append(w)
+        classes.setdefault(uf.find(w), []).append(w)
 
     def is_sorted(word: Path) -> bool:
         cols = [skeleton.edge(n).color for n in word]
@@ -257,7 +249,7 @@ def build_kgraph(
             total = _vec_add(degree[f], degree[g])
             if _leq(total, max_degree):
                 combined = normal_form[f] + normal_form[g]
-                product[(f, g)] = class_of[find(combined)] if combined else f
+                product[(f, g)] = class_of[uf.find(combined)] if combined else f
             else:
                 artifacts.add((f, g))
     boundary = frozenset(
@@ -276,7 +268,7 @@ def build_kgraph(
         if not word_f:
             factorizations[(f, d)] = (f, f)
             continue
-        members = classes[find(word_f)]
+        members = classes[uf.find(word_f)]
         for n in iproduct(*(range(x + 1) for x in d)):
             pairs = set()
             for w in members:

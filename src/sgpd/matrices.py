@@ -100,6 +100,14 @@ class RatMat:
         ) + "]"
 
 
+def join(projections: Iterable[RatMat], dim: int) -> RatMat:
+    """Join of commuting projections, folded by p v q = p + q - pq."""
+    out = RatMat.zeros(dim)
+    for p in projections:
+        out = out + p - out @ p
+    return out
+
+
 def hstack(mats: Sequence[RatMat]) -> RatMat:
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats):

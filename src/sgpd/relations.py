@@ -4,9 +4,11 @@ Relations are equations between terms built from generator symbols, their
 adjoints, the unit, zero, products, sums, and joins of commuting
 projection terms.  Three presentation styles are emitted:
 
-* generic: the representation axioms of a finite table, optionally with
-  the tightness relations for every minimal covering of every selector
-  family (leaving those off gives the Toeplitz presentation);
+* generic: the representation axioms of a finite table (the clauses of
+  ``reps.axiom_clauses``), optionally with the tightness relations for
+  every minimal covering of every selector family, scoped as the
+  ``covers`` module states (leaving those off gives the Toeplitz
+  presentation);
 * Cuntz-Krieger: letter generators of a 0-1 matrix with the TCK families
   plus the finite-alphabet specialisation of the Exel-Laca sum relation
   (with a finite alphabet the finite-support side condition is vacuous);
@@ -24,12 +26,12 @@ from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 from typing import Mapping
 
-from .core import SemigroupoidTable, SgpdError, common_followers, d_set, intersects
-from .covers import minimal_coverings
+from .core import SemigroupoidTable, SgpdError, d_set
+from .covers import selector_families, target_coverings
 from .kgraph import KGraph, degree_slice, rfns_check
 from .markov import Matrix01, follow_weight
-from .matrices import RatMat
-from .reps import Representation
+from .matrices import RatMat, join
+from .reps import Representation, Side, axiom_clauses
 
 
 class IncompatibleGenerators(SgpdError):
@@ -169,11 +171,7 @@ def eval_term(term: Term, lookup: Mapping[str, RatMat], dim: int) -> RatMat:
             out = out + eval_term(t, lookup, dim)
         return out
     if isinstance(term, Join):
-        out = RatMat.zeros(dim)
-        for t in term.terms:
-            m = eval_term(t, lookup, dim)
-            out = out + m - out @ m
-        return out
+        return join((eval_term(t, lookup, dim) for t in term.terms), dim)
     if isinstance(term, Compl):
         return RatMat.identity(dim) - eval_term(term.term, lookup, dim)
     raise TypeError(f"unknown term {term!r}")
@@ -213,6 +211,17 @@ def _finish(style: str, generators, relations) -> Presentation:
     return Presentation(style, tuple(sorted(generators)), tuple(ordered))
 
 
+_SYMBOL_TERM = {"S": Gen, "S*": Adj, "Q": q_term, "P": p_term}
+
+
+def _term(side: Side) -> Term:
+    """The term of an axiom clause side; a single symbol stays bare."""
+    if side is None:
+        return Zero()
+    terms = tuple(_SYMBOL_TERM[kind](f) for kind, f in side)
+    return terms[0] if len(terms) == 1 else Mul(terms)
+
+
 def emit_generic(
     table: SemigroupoidTable,
     tight: bool = True,
@@ -221,73 +230,21 @@ def emit_generic(
 ) -> Presentation:
     """Representation axioms of the table; with tight=True also one
     covering relation per minimal covering of each selector family, the
-    same family scope the tightness checker enforces.  tight=False is the
+    same clauses and family scope the checkers enforce.  tight=False is the
     Toeplitz presentation."""
-    elements = sorted(table.elements)
-    rels: list[Relation] = []
-    for f in elements:
-        rels.append(Relation("pisom", Mul((Gen(f), Adj(f), Gen(f))), Gen(f)))
-    for f in elements:
-        for g in elements:
-            lhs = Mul((Gen(f), Gen(g)))
-            if (f, g) in table.composable:
-                rels.append(Relation("product", lhs, Gen(table.product[(f, g)])))
-            elif (f, g) not in table.artifact_pairs:
-                rels.append(Relation("product-zero", lhs, Zero()))
-    for i, f in enumerate(elements):
-        for g in elements[i + 1 :]:
-            rels.append(
-                Relation("commute", Mul((q_term(f), q_term(g))), Mul((q_term(g), q_term(f))))
-            )
-            rels.append(
-                Relation("commute", Mul((p_term(f), p_term(g))), Mul((p_term(g), p_term(f))))
-            )
-    for f in elements:
-        for g in elements:
-            rels.append(
-                Relation("commute", Mul((q_term(f), p_term(g))), Mul((p_term(g), q_term(f))))
-            )
-    for i, f in enumerate(elements):
-        for g in elements[i + 1 :]:
-            if intersects(table, f, g) is None:
-                rels.append(Relation("disjoint", Mul((p_term(f), p_term(g))), Zero()))
-    for (f, g) in sorted(table.composable):
-        rels.append(Relation("domination", Mul((q_term(f), p_term(g))), p_term(g)))
-    for f in elements:
-        for g in elements:
-            if (f, g) not in table.composable and (f, g) not in table.artifact_pairs:
-                rels.append(Relation("annihilation", Mul((q_term(f), p_term(g))), Zero()))
-
+    rels = [
+        Relation(family, _term(lhs), _term(rhs))
+        for _, family, _, lhs, rhs in axiom_clauses(table)
+    ]
     if tight:
-        active = sorted(table.elements - table.boundary)
-        subsets_f = [
-            frozenset(c)
-            for size in range(1, max_fg + 1)
-            for c in combinations(active, size)
-        ]
-        subsets_g = [frozenset()] + [
-            frozenset(c)
-            for size in range(1, max_fg + 1)
-            for c in combinations(active, size)
-        ]
-        for required in subsets_f:
-            for forbidden in subsets_g:
-                target = common_followers(table, required, forbidden, full=True)
-                rhs_factors: list[Term] = [q_term(f) for f in sorted(required)]
-                rhs_factors.extend(Compl(q_term(g)) for g in sorted(forbidden))
-                rhs = Mul(tuple(rhs_factors)) if rhs_factors else One()
-                for spec in minimal_coverings(
-                    table, target, max_cover, pool=target - table.boundary
-                ):
-                    lhs = Join(tuple(p_term(h) for h in sorted(spec.candidate)))
-                    note = (
-                        "required="
-                        + ",".join(sorted(required))
-                        + " forbidden="
-                        + ",".join(sorted(forbidden))
-                    )
-                    rels.append(Relation("tight", lhs, rhs, note))
-    return _finish("tight" if tight else "toeplitz", elements, rels)
+        for required, forbidden, coverings in selector_families(table, max_fg, max_cover):
+            factors = [q_term(f) for f in required] + [Compl(q_term(g)) for g in forbidden]
+            rhs = Mul(tuple(factors))
+            note = "required=" + ",".join(required) + " forbidden=" + ",".join(forbidden)
+            for spec in coverings:
+                lhs = Join(tuple(p_term(h) for h in sorted(spec.candidate)))
+                rels.append(Relation("tight", lhs, rhs, note))
+    return _finish("tight" if tight else "toeplitz", table.elements, rels)
 
 
 def _subsets(items):
@@ -379,10 +336,7 @@ def emit_kumjian_pask(kg: KGraph, max_cover: int = 6) -> Presentation:
                 )
             )
     for v in objects:
-        target = d_set(kg.table, v)
-        for spec in minimal_coverings(
-            kg.table, target, max_cover, pool=target - kg.table.boundary
-        ):
+        for spec in target_coverings(kg.table, d_set(kg.table, v), max_cover):
             rels.append(
                 Relation(
                     "kp-cover",

@@ -6,29 +6,31 @@ initial/final projections, orthogonality on disjoint pairs, domination on
 composable pairs) and against tightness: for each selector family the join
 of final projections over every minimal covering of the selected set must
 equal the corresponding product of initial projections and complements.
+The axioms are listed once, by ``axiom_clauses``, which the presentation
+emitter in ``relations`` maps over as well.
 
 All verdicts are exact; there are no tolerances.  The adjoint is the
 transpose (real entries).
 
 Truncation conventions: artifact pairs are exempt from the zero clauses
-(their products exist beyond the bound), and boundary elements are left
-out of selector and covering iteration.  Selector families whose required
-part is empty assert global nondegeneracy-style identities that a finite
-truncation cannot certify, so iteration starts from one-element required
-sets; those families are exactly the ones the category criterion recovers
-under the nondegeneracy surrogate.
+(their products exist beyond the bound).  The selector families and the
+covering pool are scoped as the ``covers`` module states; the families
+left out are exactly the ones the category criterion recovers under the
+nondegeneracy surrogate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Mapping
+from operator import matmul
+from typing import Iterator, Mapping
 
-from .core import SemigroupoidTable, SgpdError, UNIT, common_followers, d_set, intersects, is_monic
-from .covers import CoverSpec, is_partition, minimal_coverings
+from .core import SemigroupoidTable, SgpdError, UNIT, d_set, intersects, is_monic
+from .covers import is_partition, selector_families, target_coverings
 from .kgraph import KGraph
-from .matrices import RatMat, hstack, rank
+from .matrices import RatMat, hstack, join, rank
 from .springs import find_springs
 
 
@@ -97,67 +99,78 @@ class AxiomReport:
         return self.ok
 
 
-def check_axioms(rep: Representation) -> AxiomReport:
-    """All representation axioms, exactly, in a deterministic order.
+# A clause side is None (zero) or a product of symbols: ("S", f) is S_f,
+# ("S*", f) its adjoint, ("Q", f) and ("P", f) its initial and final
+# projections.
+Side = tuple[tuple[str, str], ...] | None
 
-    The zero branch of the product rule and the annihilation clause are
-    skipped on artifact pairs; the annihilation clause is additionally
-    re-derived from the product rule as an internal cross-check.
+
+def axiom_clauses(
+    table: SemigroupoidTable,
+) -> Iterator[tuple[str, str, tuple[str, ...], Side, Side]]:
+    """(check tag, relation family, elements, lhs, rhs) for every axiom
+    clause lhs = rhs of the table, in checking order.
+
+    The zero clauses (product-zero, annihilation) skip artifact pairs.
     """
-    table = rep.table
     elements = sorted(table.elements)
-    zero = RatMat.zeros(rep.dim)
-
-    def fail(tag, els, got, want):
-        return AxiomReport(False, AxiomFailure(tag, tuple(els), got, want))
-
     for f in elements:
-        s = rep.mat(f)
-        if s @ s.T @ s != s:
-            return fail("partial-isometry", (f,), s @ s.T @ s, s)
-
+        s = ("S", f)
+        yield "partial-isometry", "pisom", (f,), (s, ("S*", f), s), (s,)
     for f in elements:
         for g in elements:
-            prod = rep.mat(f) @ rep.mat(g)
+            lhs = (("S", f), ("S", g))
             if (f, g) in table.composable:
-                want = rep.mat(table.product[(f, g)])
-                if prod != want:
-                    return fail("product", (f, g), prod, want)
+                yield "product", "product", (f, g), lhs, (("S", table.product[(f, g)]),)
             elif (f, g) not in table.artifact_pairs:
-                if prod != zero:
-                    return fail("product-zero", (f, g), prod, zero)
-
-    q = {f: rep.initial(f) for f in elements}
-    p = {f: rep.final(f) for f in elements}
+                yield "product-zero", "product-zero", (f, g), lhs, None
     projections = [("Q", f) for f in elements] + [("P", f) for f in elements]
-    for i, (ka, a) in enumerate(projections):
-        ma = q[a] if ka == "Q" else p[a]
-        for kb, b in projections[i + 1 :]:
-            mb = q[b] if kb == "Q" else p[b]
-            if ma @ mb != mb @ ma:
-                return fail(f"commute-{ka}{kb}", (a, b), ma @ mb, mb @ ma)
-
+    for i, a in enumerate(projections):
+        for b in projections[i + 1 :]:
+            yield f"commute-{a[0]}{b[0]}", "commute", (a[1], b[1]), (a, b), (b, a)
     for i, f in enumerate(elements):
         for g in elements[i + 1 :]:
             if intersects(table, f, g) is None:
-                if p[f] @ p[g] != zero:
-                    return fail("disjoint", (f, g), p[f] @ p[g], zero)
-
+                yield "disjoint", "disjoint", (f, g), (("P", f), ("P", g)), None
     for (f, g) in sorted(table.composable):
-        if q[f] @ p[g] != p[g]:
-            return fail("domination", (f, g), q[f] @ p[g], p[g])
-
+        yield "domination", "domination", (f, g), (("Q", f), ("P", g)), (("P", g),)
     for f in elements:
         for g in elements:
-            if (f, g) in table.composable or (f, g) in table.artifact_pairs:
-                continue
-            got = q[f] @ p[g]
-            if got != zero:
-                return fail("annihilation", (f, g), got, zero)
-            derived = rep.mat(f).T @ (rep.mat(f) @ rep.mat(g)) @ rep.mat(g).T
-            if derived != got:
-                return fail("annihilation-derived", (f, g), derived, got)
+            if (f, g) not in table.composable and (f, g) not in table.artifact_pairs:
+                yield "annihilation", "annihilation", (f, g), (("Q", f), ("P", g)), None
 
+
+def check_axioms(rep: Representation) -> AxiomReport:
+    """All representation axioms, exactly, in the order of axiom_clauses;
+    the report carries the first failure.
+
+    The annihilation clause is additionally re-derived from the product
+    rule as an internal cross-check.
+    """
+    zero = RatMat.zeros(rep.dim)
+    mats = {}
+    for f in rep.table.elements:
+        s = rep.mat(f)
+        mats["S", f] = s
+        mats["S*", f] = s.T
+        mats["Q", f] = rep.initial(f)
+        mats["P", f] = rep.final(f)
+
+    def value(side):
+        return zero if side is None else reduce(matmul, (mats[x] for x in side))
+
+    def fail(tag, els, got, want):
+        return AxiomReport(False, AxiomFailure(tag, els, got, want))
+
+    for tag, _, els, lhs, rhs in axiom_clauses(rep.table):
+        got, want = value(lhs), value(rhs)
+        if got != want:
+            return fail(tag, els, got, want)
+        if tag == "annihilation":
+            f, g = els
+            derived = mats["S*", f] @ (mats["S", f] @ mats["S", g]) @ mats["S*", g]
+            if derived != got:
+                return fail("annihilation-derived", els, derived, got)
     return AxiomReport(True)
 
 
@@ -181,14 +194,6 @@ class TightnessReport:
         return self.tight
 
 
-def _join(rep: Representation, members) -> RatMat:
-    out = RatMat.zeros(rep.dim)
-    for h in sorted(members):
-        ph = rep.final(h)
-        out = out + ph - out @ ph
-    return out
-
-
 def check_tight(
     rep: Representation, max_fg: int = 2, max_cover: int = 6
 ) -> TightnessReport:
@@ -198,54 +203,29 @@ def check_tight(
     ordered), not just the first."""
     table = rep.table
     identity = RatMat.identity(rep.dim)
-    active = sorted(table.elements - table.boundary)
     failures = []
     families = 0
     coverings_checked = 0
-    cover_cache: dict[frozenset, list[CoverSpec]] = {}
-
-    subsets_f = [
-        frozenset(c) for size in range(1, max_fg + 1) for c in combinations(active, size)
-    ]
-    subsets_g = [frozenset()] + [
-        frozenset(c) for size in range(1, max_fg + 1) for c in combinations(active, size)
-    ]
-
-    for required in subsets_f:
-        for forbidden in subsets_g:
-            families += 1
-            target = common_followers(table, required, forbidden, full=True)
-            if target not in cover_cache:
-                cover_cache[target] = minimal_coverings(
-                    table, target, max_cover, pool=target - table.boundary
-                )
-            rhs = identity
-            for f in sorted(required):
-                rhs = rhs @ rep.initial(f)
-            for g in sorted(forbidden):
-                rhs = rhs @ (identity - rep.initial(g))
-            for spec in cover_cache[target]:
-                coverings_checked += 1
-                lhs = _join(rep, spec.candidate)
-                if is_partition(table, spec) is True:
-                    total = RatMat.zeros(rep.dim)
-                    for h in sorted(spec.candidate):
-                        total = total + rep.final(h)
-                    if total != lhs:
-                        raise SgpdError(
-                            "join and sum disagree on a partition; final "
-                            "projections are not orthogonal (axioms violated?)"
-                        )
-                if lhs != rhs:
-                    failures.append(
-                        TightFailure(
-                            tuple(sorted(required)),
-                            tuple(sorted(forbidden)),
-                            tuple(sorted(spec.candidate)),
-                            lhs,
-                            rhs,
-                        )
+    for required, forbidden, coverings in selector_families(table, max_fg, max_cover):
+        families += 1
+        rhs = identity
+        for f in required:
+            rhs = rhs @ rep.initial(f)
+        for g in forbidden:
+            rhs = rhs @ (identity - rep.initial(g))
+        for spec in coverings:
+            coverings_checked += 1
+            covering = tuple(sorted(spec.candidate))
+            finals = [rep.final(h) for h in covering]
+            lhs = join(finals, rep.dim)
+            if is_partition(table, spec) is True:
+                if sum(finals, RatMat.zeros(rep.dim)) != lhs:
+                    raise SgpdError(
+                        "join and sum disagree on a partition; final "
+                        "projections are not orthogonal (axioms violated?)"
                     )
+            if lhs != rhs:
+                failures.append(TightFailure(required, forbidden, covering, lhs, rhs))
     return TightnessReport(not failures, tuple(failures), families, coverings_checked)
 
 
@@ -383,15 +363,11 @@ def category_tightness(
     coverings_checked = 0
     table = rep.table
     for v in sorted(kg.objects):
-        target = d_set(table, v)
-        for spec in minimal_coverings(
-            table, target, max_cover, pool=target - table.boundary
-        ):
+        for spec in target_coverings(table, d_set(table, v), max_cover):
             coverings_checked += 1
-            lhs = _join(rep, spec.candidate)
+            covering = tuple(sorted(spec.candidate))
+            lhs = join((rep.final(h) for h in covering), rep.dim)
             rhs = rep.final(v)
             if lhs != rhs:
-                failures.append(
-                    TightFailure((v,), (), tuple(sorted(spec.candidate)), lhs, rhs)
-                )
+                failures.append(TightFailure((v,), (), covering, lhs, rhs))
     return CategoryTightnessReport(not failures, tuple(failures), coverings_checked)

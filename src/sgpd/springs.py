@@ -16,7 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import SemigroupoidTable, d_set, validate_associativity, AssociativityError
+from .core import (
+    AssociativityError,
+    SemigroupoidTable,
+    UnionFind,
+    d_set,
+    validate_associativity,
+)
 
 
 @dataclass(frozen=True)
@@ -31,28 +37,6 @@ class SpringExtension:
     idempotents: dict[str, frozenset[str]]  # fresh token -> springs it serves
     extended: SemigroupoidTable
     mode: str
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # keep the lexicographically least token as representative
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
 
 
 def find_springs(table: SemigroupoidTable) -> SpringReport:
@@ -95,7 +79,7 @@ def despring(table: SemigroupoidTable, mode: str = "finest") -> SpringExtension:
     if not springs:
         return SpringExtension(table, {}, table, mode)
 
-    uf = _UnionFind(sorted(springs))
+    uf = UnionFind(sorted(springs))
     if mode == "universal":
         least = min(springs)
         for g in springs:

@@ -57,6 +57,36 @@ class TestExitCodes:
         code, _ = run(["validate", golden_table, "--frobnicate"])
         assert code == 2
 
+    def test_malformed_numbers(self, tmp_path):
+        kgr = tmp_path / "bad.kgr"
+        kgr.write_text("k: x\nobjects: v\n")
+        code, text = run(["kgraph", "check", str(kgr), "--maxdeg", "1"])
+        assert code == 2 and text.startswith("error:")
+        table = tmp_path / "e.sgpd"
+        table.write_text("elements: f\n")
+        rep = tmp_path / "bad.rep"
+        rep.write_text("dim: q\nf = [[0]]\n")
+        code, text = run(["rep", "check", str(table), str(rep)])
+        assert code == 2 and text.startswith("error:")
+
+    @pytest.mark.parametrize("maxlen", ["0", "-1"])
+    def test_maxlen_below_one(self, golden_mat, maxlen):
+        code, text = run(["markov", "--matrix", golden_mat, "--maxlen", maxlen])
+        assert code == 2 and text.startswith("error:")
+
+    def test_rep_missing_matrix(self, tmp_path):
+        table = tmp_path / "ab.sgpd"
+        table.write_text("elements: a b\n")
+        rep = tmp_path / "a.rep"
+        rep.write_text("dim: 1\na = [[0]]\n")
+        code, text = run(["rep", "check", str(table), str(rep)])
+        assert code == 2
+        assert text == "error: no matrix for ['b']\n"
+
+    def test_covers_unknown_element(self, golden_table):
+        code, text = run(["covers", golden_table, "--target-fg", "zz", ""])
+        assert code == 2 and "zz" in text
+
     def test_graphable_obstruction_exit(self, golden_mat):
         code, text = run(["markov", "--matrix", golden_mat, "--maxlen", "3", "--graphable"])
         assert code == 1
@@ -114,6 +144,13 @@ class TestVerbs:
         code, text = run(["kgraph", "check", str(kgr), "--maxdeg", "1,1"])
         assert code == 1
         assert "violation" in text
+
+    def test_kgraph_square_unknown_edge(self, tmp_path):
+        kgr = tmp_path / "bad.kgr"
+        kgr.write_text("k: 1\nobjects: v\nedge: e 1 v v\nsquare: e x = x e\n")
+        code, text = run(["kgraph", "check", str(kgr), "--maxdeg", "1"])
+        assert code == 2
+        assert text == "error: unknown edge 'x'\n"
 
     def test_rep_check_tight_witness(self, tmp_path):
         table = tmp_path / "e.sgpd"

@@ -87,6 +87,10 @@ class TestKgr:
         with pytest.raises(FormatError):
             parse_kgr("k: 2\nobjects: v\nedge: b 1 v v\nsquare: b = b\n")
 
+    def test_bad_rank(self):
+        with pytest.raises(FormatError):
+            parse_kgr("k: x\nobjects: v\n")
+
 
 class TestRep:
     def test_round_trip(self):
@@ -115,3 +119,7 @@ class TestRep:
     def test_duplicate_rejected(self):
         with pytest.raises(FormatError):
             parse_rep("dim: 1\nf = [[1]]\nf = [[0]]\n")
+
+    def test_bad_dimension(self):
+        with pytest.raises(FormatError):
+            parse_rep("dim: q\nf = [[1]]\n")
