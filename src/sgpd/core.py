@@ -23,6 +23,7 @@ of any follower set (adjoining it would itself break associativity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -123,6 +124,9 @@ class SemigroupoidTable:
     ``product`` keys are exactly the composable pairs.  Use ``build`` for
     eagerly validated construction; the raw constructor only checks
     well-formedness so that validators can be pointed at broken tables.
+
+    Tables are immutable after construction: followers and multiples are
+    computed once per table, on first use, and every query reads them.
     """
 
     elements: frozenset[str]
@@ -171,6 +175,28 @@ class SemigroupoidTable:
             if x is not UNIT and x not in self.elements:
                 raise UnknownElement(f"unknown element {x!r}")
 
+    def _grouped(self, pairs) -> dict[str, frozenset[str]]:
+        out: dict[str, set[str]] = {f: set() for f in self.elements}
+        for f, x in pairs:
+            out[f].add(x)
+        return {f: frozenset(xs) for f, xs in out.items()}
+
+    @cached_property
+    def followers(self) -> dict[str, frozenset[str]]:
+        """f -> the g with (f, g) composable."""
+        return self._grouped(self.composable)
+
+    @cached_property
+    def full_followers(self) -> dict[str, frozenset[str]]:
+        """f -> the g with (f, g) composable or artifact."""
+        return self._grouped(self.composable | self.artifact_pairs)
+
+    @cached_property
+    def multiples(self) -> dict[str, frozenset[str]]:
+        """f -> f itself and every product fh."""
+        products = self._grouped((f, m) for (f, _), m in self.product.items())
+        return {f: ms | {f} for f, ms in products.items()}
+
 
 def validate_associativity(table: SemigroupoidTable) -> ValidationReport:
     """Check the three-case associativity axiom over all applicable triples.
@@ -181,7 +207,7 @@ def validate_associativity(table: SemigroupoidTable) -> ValidationReport:
     comp = table.composable
     art = table.artifact_pairs
     prod = table.product
-    followers = {e: sorted(g for (f, g) in comp if f == e) for e in table.elements}
+    followers = {e: sorted(gs) for e, gs in table.followers.items()}
     preceders: dict[str, list[str]] = {e: [] for e in table.elements}
     for f, g in sorted(comp):
         preceders[g].append(f)
@@ -277,20 +303,13 @@ def d_set(table: SemigroupoidTable, f, full: bool = False) -> frozenset[str]:
     if f is UNIT:
         return frozenset(table.elements)
     table.require(f)
-    members = {g for (x, g) in table.composable if x == f}
-    if full:
-        members |= {g for (x, g) in table.artifact_pairs if x == f}
-    return frozenset(members)
+    return (table.full_followers if full else table.followers)[f]
 
 
 def divides(table: SemigroupoidTable, f: str, g: str) -> bool:
     """True iff f = g or fh = g for some h in the carrier."""
     table.require(f, g)
-    if f == g:
-        return True
-    return any(
-        table.product[(f, h)] == g for (x, h) in table.composable if x == f
-    )
+    return g in table.multiples[f]
 
 
 def equivalent(table: SemigroupoidTable, f: str, g: str) -> bool:
@@ -307,10 +326,7 @@ def intersects(table: SemigroupoidTable, f: str, g: str) -> str | None:
     truncated inputs it only means "disjoint within the bound".
     """
     table.require(f, g)
-    for m in sorted(table.elements):
-        if divides(table, f, m) and divides(table, g, m):
-            return m
-    return None
+    return min(table.multiples[f] & table.multiples[g], default=None)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ from typing import Iterable, Iterator
 
 from .core import SemigroupoidTable, SgpdError, common_followers, divides, intersects
 
+# search nodes the covering enumeration may visit before it gives up
+NODE_CAP = 200_000
+
 
 class CandidateNotSubset(SgpdError):
     """Covering candidates must be drawn from the target set."""
@@ -133,7 +136,7 @@ def prune_covering(table: SemigroupoidTable, spec: CoverSpec) -> CoverSpec:
     return pruned
 
 
-def _minimal_hitting_sets(families: list[frozenset[str]], node_cap: int):
+def _minimal_hitting_sets(families: list[frozenset[str]]):
     """All inclusion-minimal sets hitting every family, enumerated by
     branching on the first unhit family with earlier siblings banned."""
     results: list[frozenset[str]] = []
@@ -142,7 +145,7 @@ def _minimal_hitting_sets(families: list[frozenset[str]], node_cap: int):
     def rec(chosen: frozenset[str], banned: frozenset[str]):
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > NODE_CAP:
             raise BoundExceededError("covering enumeration exceeded the search cap")
         unhit = [fam for fam in families if not fam & chosen]
         if not unhit:
@@ -170,7 +173,6 @@ def minimal_coverings(
     target: Iterable[str],
     max_size: int = 6,
     pool: Iterable[str] | None = None,
-    node_cap: int = 200_000,
 ) -> list[CoverSpec]:
     """All inclusion-minimal coverings of the target with members from
     `pool` (default: the target itself), deterministically ordered.
@@ -189,7 +191,7 @@ def minimal_coverings(
         if not fam:
             return []  # t cannot be covered from this pool
         neighbours.append(fam)
-    hitting = _minimal_hitting_sets(neighbours, node_cap)
+    hitting = _minimal_hitting_sets(neighbours)
     oversized = [s for s in hitting if len(s) > max_size]
     if oversized:
         raise BoundExceededError(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import SemigroupoidTable, SgpdError, UnionFind, intersects
 
@@ -102,6 +102,23 @@ def _vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _box(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every degree between 0 and `bound` componentwise, in lexicographic order."""
+    return iproduct(*(range(x + 1) for x in bound))
+
+
+def _splits(
+    table: SemigroupoidTable, degrees: Mapping[str, tuple[int, ...]]
+) -> dict[tuple[str, tuple[int, ...]], list[tuple[str, str]]]:
+    """(f, n) -> the sorted composable pairs (g, h) with gh = f, d(g) = n and
+    d(h) = d(f) - n: the factorisations of f at every split of its degree."""
+    out: dict[tuple[str, tuple[int, ...]], list[tuple[str, str]]] = {}
+    for (g, h), f in sorted(table.product.items()):
+        if degrees[h] == _vec_sub(degrees[f], degrees[g]):
+            out.setdefault((f, degrees[g]), []).append((g, h))
+    return out
+
+
 def _validate_squares(skeleton: KGraphSkeleton) -> dict[tuple[str, str], tuple[str, str]]:
     """Check shape, endpoints and bijectivity; return the swap map."""
     swap: dict[tuple[str, str], tuple[str, str]] = {}
@@ -151,6 +168,17 @@ class KGraph:
 
     def morphisms(self) -> list[str]:
         return sorted(self.normal_form)
+
+    @cached_property
+    def slices(self) -> dict[tuple[str, tuple[int, ...]], frozenset[str]]:
+        """(object, degree) -> the morphisms of that range and degree, for
+        every object (sorted) and every degree within the bound."""
+        members: dict[tuple[str, tuple[int, ...]], set[str]] = {
+            (v, n): set() for v in sorted(self.objects) for n in _box(self.max_degree)
+        }
+        for t in self.normal_form:
+            members[(self.range[t], self.degree[t])].add(t)
+        return {key: frozenset(ts) for key, ts in members.items()}
 
 
 def _token(skeleton: KGraphSkeleton, word: Path, obj: str) -> str:
@@ -261,28 +289,16 @@ def build_kgraph(
     table = SemigroupoidTable.build(tokens, product, boundary, artifacts)
 
     # unique factorisation: every split of every degree has exactly one pair
+    splits = _splits(table, degree)
     factorizations: dict[tuple[str, tuple[int, ...]], tuple[str, str]] = {}
     for f in tokens:
-        d = degree[f]
-        word_f = normal_form[f]
-        if not word_f:
-            factorizations[(f, d)] = (f, f)
-            continue
-        members = classes[uf.find(word_f)]
-        for n in iproduct(*(range(x + 1) for x in d)):
-            pairs = set()
-            for w in members:
-                for cut in range(len(w) + 1):
-                    if _degree(skeleton, w[:cut]) == n:
-                        head = class_of[w[:cut]] if w[:cut] else range_[f]
-                        tail = class_of[w[cut:]] if w[cut:] else source[f]
-                        pairs.add((head, tail))
+        for n in _box(degree[f]):
+            pairs = splits.get((f, n), [])
             if len(pairs) != 1:
                 raise InconsistentSquares(
-                    f"morphism {f} splits at degree {n} into {len(pairs)} pairs: "
-                    f"{sorted(pairs)}"
+                    f"morphism {f} splits at degree {n} into {len(pairs)} pairs: {pairs}"
                 )
-            factorizations[(f, tuple(n))] = pairs.pop()
+            factorizations[(f, n)] = pairs[0]
 
     return KGraph(
         skeleton,
@@ -321,10 +337,7 @@ def degree_slice(kg: KGraph, v: str, n: Sequence[int]) -> DegreeSlice:
         raise SgpdError(f"unknown object {v!r}")
     if not _leq(n, kg.max_degree) or any(x < 0 for x in n):
         raise DegreeOutOfRange(f"degree {n} outside bound {kg.max_degree}")
-    members = frozenset(
-        t for t in kg.normal_form if kg.range[t] == v and kg.degree[t] == n
-    )
-    return DegreeSlice(v, n, members)
+    return DegreeSlice(v, n, kg.slices.get((v, n), frozenset()))
 
 
 @dataclass(frozen=True)
@@ -339,10 +352,9 @@ class EmptySlice:
 def rfns_check(kg: KGraph):
     """Row-finite and source-free within the truncation: every degree
     slice up to the bound is nonempty (finiteness is automatic here)."""
-    for v in sorted(kg.objects):
-        for n in iproduct(*(range(x + 1) for x in kg.max_degree)):
-            if not degree_slice(kg, v, n).members:
-                return EmptySlice(v, tuple(n))
+    for (v, n), members in kg.slices.items():
+        if not members:
+            return EmptySlice(v, n)
     return True
 
 
@@ -367,9 +379,8 @@ def slice_partition_check(kg: KGraph, v: str, n: Sequence[int]):
             if m is not None:
                 return SliceWitness("intersecting-pair", (a, b, m))
     budget = _vec_sub(kg.max_degree, n)
-    for g in sorted(kg.normal_form):
-        if kg.range[g] != v or not _leq(kg.degree[g], budget):
-            continue
+    within = [g for (u, d), ms in kg.slices.items() if u == v and _leq(d, budget) for g in ms]
+    for g in sorted(within):
         if all(intersects(kg.table, g, h) is None for h in members):
             return SliceWitness("uncovered", (g,))
     return True
@@ -388,13 +399,9 @@ def common_extensions(
     if not (_leq(kg.degree[f], n) and _leq(kg.degree[g], n)):
         raise DegreeOutOfRange(f"degree {n} does not dominate d({f}), d({g})")
     out = []
-    for p in sorted(kg.normal_form):
-        if kg.range[p] != kg.source[f] or kg.degree[p] != _vec_sub(n, kg.degree[f]):
-            continue
+    for p in sorted(kg.slices.get((kg.source[f], _vec_sub(n, kg.degree[f])), ())):
         fp = kg.table.product[(f, p)]
-        for q in sorted(kg.normal_form):
-            if kg.range[q] != kg.source[g] or kg.degree[q] != _vec_sub(n, kg.degree[g]):
-                continue
+        for q in sorted(kg.slices.get((kg.source[g], _vec_sub(n, kg.degree[g])), ())):
             if kg.table.product[(g, q)] == fp:
                 out.append((p, q))
     return out
@@ -434,15 +441,10 @@ def degree_check(
             violations.append(
                 DegreeViolation("additivity", (f, g, fg, degrees[f], degrees[g], degrees[fg]))
             )
+    splits = _splits(table, degrees)
     for f in sorted(table.elements):
-        d = degrees[f]
-        for n in iproduct(*(range(x + 1) for x in d)):
-            n = tuple(n)
-            pairs = sorted(
-                (g, h)
-                for (g, h), p in table.product.items()
-                if p == f and degrees[g] == n and degrees[h] == _vec_sub(d, n)
-            )
+        for n in _box(degrees[f]):
+            pairs = splits.get((f, n), [])
             if not pairs:
                 violations.append(DegreeViolation("no-factorization", (f, n)))
             elif len(pairs) > 1:

@@ -23,12 +23,12 @@ reports violations on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from typing import Mapping
 
 from .core import SemigroupoidTable, SgpdError, d_set
 from .covers import selector_families, target_coverings
-from .kgraph import KGraph, degree_slice, rfns_check
+from .kgraph import KGraph, rfns_check
 from .markov import Matrix01, follow_weight
 from .matrices import RatMat, join
 from .reps import Representation, Side, axiom_clauses
@@ -324,17 +324,9 @@ def emit_kumjian_pask(kg: KGraph, max_cover: int = 6) -> Presentation:
         )
     for f in morphisms:
         rels.append(Relation("kp3", Mul((Adj(f), Gen(f))), Gen(kg.source[f])))
-    for v in objects:
-        for n in iproduct(*(range(x + 1) for x in kg.max_degree)):
-            members = sorted(degree_slice(kg, v, n).members)
-            rels.append(
-                Relation(
-                    "kp4",
-                    Gen(v),
-                    Add(tuple(p_term(f) for f in members)),
-                    note=f"object={v} degree={tuple(n)}",
-                )
-            )
+    for (v, n), members in kg.slices.items():
+        terms = Add(tuple(p_term(f) for f in sorted(members)))
+        rels.append(Relation("kp4", Gen(v), terms, note=f"object={v} degree={n}"))
     for v in objects:
         for spec in target_coverings(kg.table, d_set(kg.table, v), max_cover):
             rels.append(

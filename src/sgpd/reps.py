@@ -220,7 +220,7 @@ def check_tight(
             lhs = join(finals, rep.dim)
             if is_partition(table, spec) is True:
                 if sum(finals, RatMat.zeros(rep.dim)) != lhs:
-                    raise SgpdError(
+                    raise PreconditionUnmet(
                         "join and sum disagree on a partition; final "
                         "projections are not orthogonal (axioms violated?)"
                     )

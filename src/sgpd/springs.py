@@ -20,7 +20,6 @@ from .core import (
     AssociativityError,
     SemigroupoidTable,
     UnionFind,
-    d_set,
     validate_associativity,
 )
 
@@ -42,19 +41,11 @@ class SpringExtension:
 def find_springs(table: SemigroupoidTable) -> SpringReport:
     """Springs plus the derived-dead elements (nonempty follower sets made
     entirely of springs, which tight representations also kill)."""
-    artifact_heads = {f for (f, _) in table.artifact_pairs}
-    springs = frozenset(
-        f
-        for f in table.elements
-        if not d_set(table, f) and f not in artifact_heads
-    )
+    followers, full = table.followers, table.full_followers
+    # an element with artifact followers is cut by the bound, never dead
+    springs = frozenset(f for f in table.elements if not full[f])
     derived = frozenset(
-        f
-        for f in table.elements
-        if f not in artifact_heads
-        and f not in springs
-        and d_set(table, f)
-        and d_set(table, f) <= springs
+        f for f, gs in followers.items() if gs and gs == full[f] and gs <= springs
     )
     return SpringReport(springs, derived)
 

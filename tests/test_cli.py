@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import sgpd.cli
+import sgpd.markov
 from sgpd.cli import run
 from sgpd.formats import render_mat01, render_sgpd
-from sgpd.markov import build_markov
+from sgpd.markov import Matrix01, build_markov
 
 
 @pytest.fixture()
@@ -91,6 +93,19 @@ class TestExitCodes:
         code, text = run(["markov", "--matrix", golden_mat, "--maxlen", "3", "--graphable"])
         assert code == 1
         assert "obstruction: 2 1 1 2" in text
+
+    def test_graphable_runs_no_search_oracle(self, tmp_path, monkeypatch):
+        # the oracle tries all n^n assignments: minutes at 8 letters
+        def oracle(matrix):
+            raise AssertionError("the CLI ran the search oracle")
+
+        monkeypatch.setattr(sgpd.markov, "graphable_oracle", oracle)
+        monkeypatch.setattr(sgpd.cli, "graphable_oracle", oracle, raising=False)
+        path = tmp_path / "ones8.mat01"
+        path.write_text(render_mat01(Matrix01.from_rows([[1] * 8] * 8)))
+        code, text = run(["markov", "--matrix", str(path), "--maxlen", "1", "--graphable"])
+        assert code == 0
+        assert "graphable: yes" in text
 
 
 class TestDeterminism:

@@ -114,6 +114,15 @@ class TestTight:
             check_tight(rep, max_fg=1, max_cover=6)
 
 
+    def test_non_representation_named_error(self, golden3):
+        # all ones on the golden mean breaks product-zero, so final
+        # projections overlap and the partition self-check fires
+        rep = all_ones_rep(golden3.table)
+        assert check_axioms(rep).failure.tag == "product-zero"
+        with pytest.raises(PreconditionUnmet, match="join and sum disagree on a partition"):
+            check_tight(rep)
+
+
 class TestSpringVanishing:
     def test_nonzero_spring_flagged(self, fix_e):
         verdict = spring_vanishing_check(nilpotent_rep(fix_e))
