@@ -216,7 +216,8 @@ def selector_families(
     each part sorted; the coverings are those of the family's full common
     followers, computed once per distinct target."""
     active = sorted(table.elements - table.boundary)
-    subsets = [c for size in range(1, max_fg + 1) for c in combinations(active, size)]
+    sizes = range(1, min(max_fg, len(active)) + 1)
+    subsets = [c for size in sizes for c in combinations(active, size)]
     coverings: dict[frozenset[str], list[CoverSpec]] = {}
     for required in subsets:
         for forbidden in [()] + subsets:

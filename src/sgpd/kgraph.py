@@ -330,14 +330,20 @@ class DegreeSlice:
     members: frozenset[str]
 
 
+def _bounded_degree(kg: KGraph, n: Sequence[int]) -> tuple[int, ...]:
+    """n as a tuple, when it is a degree of kg (k components) within the bound."""
+    n = tuple(n)
+    if len(n) != len(kg.max_degree) or any(x < 0 for x in n) or not _leq(n, kg.max_degree):
+        raise DegreeOutOfRange(f"degree {n} outside bound {kg.max_degree}")
+    return n
+
+
 def degree_slice(kg: KGraph, v: str, n: Sequence[int]) -> DegreeSlice:
     """Morphisms of range v and degree exactly n."""
-    n = tuple(n)
     if v not in kg.objects:
         raise SgpdError(f"unknown object {v!r}")
-    if not _leq(n, kg.max_degree) or any(x < 0 for x in n):
-        raise DegreeOutOfRange(f"degree {n} outside bound {kg.max_degree}")
-    return DegreeSlice(v, n, kg.slices.get((v, n), frozenset()))
+    n = _bounded_degree(kg, n)
+    return DegreeSlice(v, n, kg.slices[(v, n)])
 
 
 @dataclass(frozen=True)
@@ -370,8 +376,8 @@ class SliceWitness:
 def slice_partition_check(kg: KGraph, v: str, n: Sequence[int]):
     """The degree-n slice at v is a partition of the range-v morphisms,
     checked against the members whose common multiples stay in bounds."""
-    n = tuple(n)
     slice_ = degree_slice(kg, v, n)
+    n = slice_.n
     members = sorted(slice_.members)
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
@@ -390,18 +396,16 @@ def common_extensions(
     kg: KGraph, f: str, g: str, n: Sequence[int]
 ) -> list[tuple[str, str]]:
     """All (p, q) with fp = gq of degree exactly n, sorted."""
-    n = tuple(n)
     for t in (f, g):
         if t not in kg.degree:
             raise SgpdError(f"unknown morphism {t!r}")
-    if not _leq(n, kg.max_degree):
-        raise DegreeOutOfRange(f"degree {n} outside bound {kg.max_degree}")
+    n = _bounded_degree(kg, n)
     if not (_leq(kg.degree[f], n) and _leq(kg.degree[g], n)):
         raise DegreeOutOfRange(f"degree {n} does not dominate d({f}), d({g})")
     out = []
-    for p in sorted(kg.slices.get((kg.source[f], _vec_sub(n, kg.degree[f])), ())):
+    for p in sorted(kg.slices[(kg.source[f], _vec_sub(n, kg.degree[f]))]):
         fp = kg.table.product[(f, p)]
-        for q in sorted(kg.slices.get((kg.source[g], _vec_sub(n, kg.degree[g])), ())):
+        for q in sorted(kg.slices[(kg.source[g], _vec_sub(n, kg.degree[g]))]):
             if kg.table.product[(g, q)] == fp:
                 out.append((p, q))
     return out

@@ -302,13 +302,12 @@ class LemmaWitness:
         return False
 
 
-def _is_partition_of_words(matrix, members, letter, max_len):
+def _is_partition_of_words(matrix, members, universe):
     members = sorted(members)
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
             if not word_disjoint(matrix, a, b):
                 return LemmaWitness("intersecting-pair", (a, b))
-    universe = words_from(matrix, letter, max_len)
     for w in universe:
         if all(word_disjoint(matrix, w, h) for h in members):
             return LemmaWitness("uncovered-word", (w,))
@@ -331,8 +330,10 @@ def first_letter_decomposition_check(
     if partitions is None:
         partitions = enumerate_partitions(matrix, letter, max_len)
     continuations = [j for j in matrix.alphabet if matrix.entry(letter, j) == 1]
+    universe = words_from(matrix, letter, max_len)
+    stripped_universe = {j: words_from(matrix, j, max_len - 1) for j in continuations}
     for part in partitions:
-        verdict = _is_partition_of_words(matrix, part, letter, max_len)
+        verdict = _is_partition_of_words(matrix, part, universe)
         if verdict is not True:
             return verdict
         if part == frozenset([(letter,)]):
@@ -343,10 +344,9 @@ def first_letter_decomposition_check(
         for j in continuations:
             if not blocks[j]:
                 return LemmaWitness("missing-continuation", (j,))
-        stripped_bound = max_len - 1
         for j in continuations:
             stripped = frozenset(w[1:] for w in blocks[j])
-            verdict = _is_partition_of_words(matrix, stripped, j, stripped_bound)
+            verdict = _is_partition_of_words(matrix, stripped, stripped_universe[j])
             if verdict is not True:
                 return LemmaWitness("stripped-not-partition", (j, verdict))
     return True

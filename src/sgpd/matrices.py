@@ -1,8 +1,14 @@
-"""Dense exact-rational matrices, just big enough for desk-scale checks.
+"""Exact-rational matrices, just big enough for desk-scale checks.
 
 Every verdict downstream is an equality of matrices, so entries are
 `fractions.Fraction` and there are no tolerances anywhere.  Matrices are
 real; the adjoint is the transpose.
+
+Matrices are stored dense, but the product skips zeros: each nonzero entry
+of the left factor scales the nonzero entries of one row of the right
+factor into an accumulator row.  The partial isometries checked here are
+mostly zeros and units (projections, permutations, zero representations),
+so most of the scalar work a dense product would do is a multiply by zero.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -80,13 +88,16 @@ class RatMat:
         k2, m = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = other.T.rows
-        return RatMat(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [_ZERO] * m
+            for a, entries in zip(row, nonzero):
+                if a:
+                    for j, b in entries:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return RatMat(tuple(out))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)

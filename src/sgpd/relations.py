@@ -23,7 +23,9 @@ reports violations on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import matmul
 from typing import Mapping
 
 from .core import SemigroupoidTable, SgpdError, d_set
@@ -147,34 +149,43 @@ def render_term(term: Term) -> str:
     raise TypeError(f"unknown term {term!r}")
 
 
-def eval_term(term: Term, lookup: Mapping[str, RatMat], dim: int) -> RatMat:
-    if isinstance(term, Gen):
+def eval_term(
+    term: Term,
+    lookup: Mapping[str, RatMat],
+    dim: int,
+    memo: dict[Term, RatMat] | None = None,
+) -> RatMat:
+    """The matrix of a term, with generators read from `lookup`.  `memo`
+    holds the values of terms already evaluated under the same lookup and
+    dim; each sub-term is evaluated once per memo."""
+    if memo is None:
+        memo = {}
+    value = memo.get(term)
+    if value is not None:
+        return value
+    if isinstance(term, (Gen, Adj)):
         if term.name not in lookup:
             raise IncompatibleGenerators(f"no matrix for generator {term.name!r}")
-        return lookup[term.name]
-    if isinstance(term, Adj):
-        if term.name not in lookup:
-            raise IncompatibleGenerators(f"no matrix for generator {term.name!r}")
-        return lookup[term.name].T
-    if isinstance(term, One):
-        return RatMat.identity(dim)
-    if isinstance(term, Zero):
-        return RatMat.zeros(dim)
-    if isinstance(term, Mul):
-        out = RatMat.identity(dim)
-        for t in term.factors:
-            out = out @ eval_term(t, lookup, dim)
-        return out
-    if isinstance(term, Add):
-        out = RatMat.zeros(dim)
+        value = lookup[term.name] if isinstance(term, Gen) else lookup[term.name].T
+    elif isinstance(term, One):
+        value = RatMat.identity(dim)
+    elif isinstance(term, Zero):
+        value = RatMat.zeros(dim)
+    elif isinstance(term, Mul):
+        factors = [eval_term(t, lookup, dim, memo) for t in term.factors]
+        value = reduce(matmul, factors) if factors else RatMat.identity(dim)
+    elif isinstance(term, Add):
+        value = RatMat.zeros(dim)
         for t in term.terms:
-            out = out + eval_term(t, lookup, dim)
-        return out
-    if isinstance(term, Join):
-        return join((eval_term(t, lookup, dim) for t in term.terms), dim)
-    if isinstance(term, Compl):
-        return RatMat.identity(dim) - eval_term(term.term, lookup, dim)
-    raise TypeError(f"unknown term {term!r}")
+            value = value + eval_term(t, lookup, dim, memo)
+    elif isinstance(term, Join):
+        value = join((eval_term(t, lookup, dim, memo) for t in term.terms), dim)
+    elif isinstance(term, Compl):
+        value = RatMat.identity(dim) - eval_term(term.term, lookup, dim, memo)
+    else:
+        raise TypeError(f"unknown term {term!r}")
+    memo[term] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -371,7 +382,8 @@ def evaluate(
     rename: Mapping[str, str] | None = None,
 ) -> tuple[Relation, ...]:
     """Violated relations of a presentation under a representation; the
-    rename map sends presentation generators to table elements."""
+    rename map sends presentation generators to table elements.  Sub-terms
+    shared between relations are evaluated once per call."""
     rename = rename or {}
     lookup: dict[str, RatMat] = {}
     for g in pres.generators:
@@ -381,9 +393,10 @@ def evaluate(
                 f"generator {g!r} (as {token!r}) has no matrix in the representation"
             )
         lookup[g] = rep.assign[token]
+    memo: dict[Term, RatMat] = {}
     bad = []
     for r in pres.relations:
-        if eval_term(r.lhs, lookup, rep.dim) != eval_term(r.rhs, lookup, rep.dim):
+        if eval_term(r.lhs, lookup, rep.dim, memo) != eval_term(r.rhs, lookup, rep.dim, memo):
             bad.append(r)
     return tuple(bad)
 

@@ -22,13 +22,13 @@ nondegeneracy surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import matmul
 from typing import Iterator, Mapping
 
 from .core import SemigroupoidTable, SgpdError, UNIT, d_set, intersects, is_monic
-from .covers import is_partition, selector_families, target_coverings
+from .covers import CoverSpec, is_partition, selector_families, target_coverings
 from .kgraph import KGraph
 from .matrices import RatMat, hstack, join, rank
 from .springs import find_springs
@@ -53,6 +53,13 @@ class DegenerateRepresentation(SgpdError):
 
 @dataclass(frozen=True)
 class Representation:
+    """An assignment of dim x dim matrices to the elements of a table.
+
+    `assign` is treated as immutable: the initial and final projection of
+    every assigned matrix is computed once, on first use, and `initial`
+    and `final` look them up.
+    """
+
     table: SemigroupoidTable
     dim: int
     assign: Mapping[str, RatMat]
@@ -73,13 +80,23 @@ class Representation:
             return RatMat.identity(self.dim)
         return self.assign[x]
 
+    @cached_property
+    def _initials(self) -> dict[str, RatMat]:
+        return {f: s.T @ s for f, s in self.assign.items()}
+
+    @cached_property
+    def _finals(self) -> dict[str, RatMat]:
+        return {f: s @ s.T for f, s in self.assign.items()}
+
     def initial(self, x) -> RatMat:
-        s = self.mat(x)
-        return s.T @ s
+        if x is UNIT:
+            return RatMat.identity(self.dim)
+        return self._initials[x]
 
     def final(self, x) -> RatMat:
-        s = self.mat(x)
-        return s @ s.T
+        if x is UNIT:
+            return RatMat.identity(self.dim)
+        return self._finals[x]
 
 
 @dataclass(frozen=True)
@@ -200,33 +217,42 @@ def check_tight(
     """Tightness over all selector families with up to max_fg required and
     forbidden elements; every minimal covering of each selected set is
     checked.  All failing families are collected (deterministically
-    ordered), not just the first."""
+    ordered), not just the first.  The join of each distinct covering, with
+    its partition self-check, is computed once per call."""
     table = rep.table
     identity = RatMat.identity(rep.dim)
+    complements = {g: identity - rep.initial(g) for g in table.elements}
+    joins: dict[CoverSpec, tuple[tuple[str, ...], RatMat]] = {}
     failures = []
     families = 0
     coverings_checked = 0
     for required, forbidden, coverings in selector_families(table, max_fg, max_cover):
         families += 1
-        rhs = identity
-        for f in required:
-            rhs = rhs @ rep.initial(f)
-        for g in forbidden:
-            rhs = rhs @ (identity - rep.initial(g))
+        factors = [rep.initial(f) for f in required] + [complements[g] for g in forbidden]
+        rhs = reduce(matmul, factors)
         for spec in coverings:
             coverings_checked += 1
-            covering = tuple(sorted(spec.candidate))
-            finals = [rep.final(h) for h in covering]
-            lhs = join(finals, rep.dim)
-            if is_partition(table, spec) is True:
-                if sum(finals, RatMat.zeros(rep.dim)) != lhs:
-                    raise PreconditionUnmet(
-                        "join and sum disagree on a partition; final "
-                        "projections are not orthogonal (axioms violated?)"
-                    )
+            if spec not in joins:
+                joins[spec] = _covering_join(rep, spec)
+            covering, lhs = joins[spec]
             if lhs != rhs:
                 failures.append(TightFailure(required, forbidden, covering, lhs, rhs))
     return TightnessReport(not failures, tuple(failures), families, coverings_checked)
+
+
+def _covering_join(rep: Representation, spec: CoverSpec) -> tuple[tuple[str, ...], RatMat]:
+    """(sorted covering, join of its final projections).  On a partition the
+    join must equal the plain sum, which re-checks orthogonality."""
+    covering = tuple(sorted(spec.candidate))
+    finals = [rep.final(h) for h in covering]
+    lhs = join(finals, rep.dim)
+    if is_partition(rep.table, spec) is True:
+        if sum(finals, RatMat.zeros(rep.dim)) != lhs:
+            raise PreconditionUnmet(
+                "join and sum disagree on a partition; final "
+                "projections are not orthogonal (axioms violated?)"
+            )
+    return covering, lhs
 
 
 @dataclass(frozen=True)

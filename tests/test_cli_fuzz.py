@@ -5,7 +5,8 @@ Each format gets two sources of text: arbitrary unicode, and files built
 from the format's own grammar over a few short names, mostly well formed
 with the odd stray token, so that many examples get past the parser and
 reach the checks behind it.  Names, letters and dimensions are few and
-small, which keeps every example at desk size.
+small, which keeps every example at desk size.  A last test keeps the
+input files fixed and tiny and draws the flag values instead.
 """
 
 from __future__ import annotations
@@ -162,3 +163,69 @@ def test_rep_input(work, text):
     _assert_contract(work / "input.rep", text, [
         ["rep", "check", str(work / "table.sgpd"), p, "--tight", "--max-fg", "1"],
     ])
+
+
+# ---- random flag values on fixed tiny inputs
+
+SMALL_NUMBER = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "x", "1.5", "0x1", "1e2", " 2", "--", "-"]),
+)
+# a size bound far past the input: the work must stay bounded by the input
+# (a word length or degree bound that large is real work, so those stay small)
+NUMBER = st.one_of(SMALL_NUMBER, st.just("10" * 12))
+DEGREE = st.one_of(
+    st.lists(st.one_of(st.integers(-1, 2).map(str), st.sampled_from(["", "x", " 1"])),
+             max_size=3).map(",".join),
+    st.sampled_from([",", "1,,1", "2;2"]),
+)
+ELEMENT_LIST = st.sampled_from(["", "f", "f,g", ",", "fg,f", "zz", "f,,g"])
+STYLE = st.sampled_from(["generic", "ck", "kp", "tight", ""])
+
+
+@st.composite
+def _flag_argv(draw, files):
+    """One verb's argv, with its numeric, degree, list and style flags drawn
+    at random; the arity of --target-fg varies too."""
+    table, rep, mat, kgr = files
+    verb = draw(st.sampled_from(["markov", "covers", "rep", "kgraph", "relations"]))
+    if verb == "markov":
+        argv = ["markov", "--matrix", mat, "--maxlen", draw(SMALL_NUMBER)]
+        return argv + (["--graphable"] if draw(st.booleans()) else [])
+    if verb == "covers":
+        target = draw(st.lists(ELEMENT_LIST, max_size=3))
+        return ["covers", table, "--target-fg", *target, "--max-size", draw(NUMBER)]
+    if verb == "rep":
+        return ["rep", "check", table, rep, "--tight",
+                "--max-fg", draw(NUMBER), "--max-cover", draw(NUMBER)]
+    if verb == "kgraph":
+        return ["kgraph", "check", kgr, "--maxdeg", draw(DEGREE)]
+    argv = ["relations", "--style", draw(STYLE), "--max-fg", draw(NUMBER),
+            "--max-cover", draw(NUMBER)]
+    if draw(st.booleans()):
+        argv.insert(1, table)
+    if draw(st.booleans()):
+        argv += ["--matrix", mat]
+    if draw(st.booleans()):
+        argv += ["--kgr", kgr, "--maxdeg", draw(DEGREE)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def flag_files(work) -> tuple[str, str, str, str]:
+    """A table, a zero representation of it, the golden-mean matrix and the
+    two-loop 2-graph."""
+    (work / "golden.mat01").write_text("2\n1 1\n1 0\n")
+    (work / "loops.kgr").write_text(
+        "k: 2\nobjects: v\nedge: b 1 v v\nedge: r 2 v v\nsquare: b r = r b\n"
+    )
+    return (str(work / "table.sgpd"), str(work / "const0.rep"),
+            str(work / "golden.mat01"), str(work / "loops.kgr"))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_random_flags(flag_files, data):
+    argv = data.draw(_flag_argv(flag_files))
+    code, _ = run(argv)
+    assert code in (0, 1, 2), argv

@@ -141,6 +141,12 @@ class TestSlices:
         with pytest.raises(DegreeOutOfRange):
             degree_slice(fix_d, "v", (3, 0))
 
+    def test_wrong_length_degree(self, fix_d):
+        # a 2-graph degree has two components, neither fewer nor more
+        for n in [(1,), (1, 0, 5)]:
+            with pytest.raises(DegreeOutOfRange):
+                degree_slice(fix_d, "v", n)
+
 
 class TestRfns:
     def test_fixtures_pass(self, fix_c, fix_d):
@@ -180,6 +186,10 @@ class TestSlicePartition:
         assert verdict.kind == "intersecting-pair"
         assert verdict.detail[:2] == ("e", "e.e")
 
+    def test_wrong_length_degree(self, fix_d):
+        with pytest.raises(DegreeOutOfRange):
+            slice_partition_check(fix_d, "v", (1,))
+
 
 class TestCommonExtensions:
     def test_square_pair(self, fix_d):
@@ -200,6 +210,10 @@ class TestCommonExtensions:
             common_extensions(fix_d, "b", "r", (3, 3))
         with pytest.raises(DegreeOutOfRange):
             common_extensions(fix_d, "b.b", "r", (1, 1))
+
+    def test_wrong_length_degree(self, fix_d):
+        with pytest.raises(DegreeOutOfRange):
+            common_extensions(fix_d, "b", "b", (1,))
 
     def test_agrees_with_intersects_at_join_degree(self, fix_d):
         for f in fix_d.normal_form:
