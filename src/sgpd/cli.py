@@ -322,6 +322,17 @@ def _parse_degree(text: str, k: int) -> tuple[int, ...]:
     return parts
 
 
+def _bound(text: str) -> int:
+    """A search bound (--max-fg, --max-cover, --max-size): an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgpd",
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["", ""],
         help="comma-separated element lists (empty for none)",
     )
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--max-size", type=_bound, default=6)
     p.set_defaults(func=cmd_covers)
 
     p = sub.add_parser("rep", help="check a matrix representation")
@@ -375,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("rep")
     p.add_argument("--tight", action="store_true")
-    p.add_argument("--max-fg", type=int, default=2)
-    p.add_argument("--max-cover", type=int, default=6)
+    p.add_argument("--max-fg", type=_bound, default=2)
+    p.add_argument("--max-cover", type=_bound, default=6)
     p.set_defaults(func=cmd_rep)
 
     p = sub.add_parser("relations", help="emit a relation presentation")
@@ -386,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="matrix for --style ck")
     p.add_argument("--kgr", help="skeleton for --style kp")
     p.add_argument("--maxdeg", help="degree bound for --style kp")
-    p.add_argument("--max-fg", type=int, default=2)
-    p.add_argument("--max-cover", type=int, default=6)
+    p.add_argument("--max-fg", type=_bound, default=2)
+    p.add_argument("--max-cover", type=_bound, default=6)
     p.set_defaults(func=cmd_relations)
 
     return parser

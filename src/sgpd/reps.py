@@ -12,6 +12,21 @@ emitter in ``relations`` maps over as well.
 All verdicts are exact; there are no tolerances.  The adjoint is the
 transpose (real entries).
 
+Projection atoms: when every initial and final projection Q_f, P_f is a
+projection and they pairwise commute, they generate a finite Boolean
+algebra whose atoms (at most ``dim`` of them) are found once per
+representation.  Each Q_f and P_f is then a bitmask over the atoms, so a
+meet is ``&``, a complement ``full & ~m`` and a join ``|``.
+``check_axioms`` decides every clause whose sides are products of
+projections on the masks (and product-zero as Q_f P_g = 0, which for
+partial isometries is equivalent to S_f S_g = 0); only the
+partial-isometry and product clauses, the annihilation cross-check and the
+got/want matrices of a failure are computed as matrices.  ``check_tight``
+requires the atoms: it decides every family on masks, builds matrices only
+for the failures, and raises ``NoProjectionAtoms`` (naming the first
+non-projection or the first non-commuting pair) when there are none.
+Representations that pass the axioms always have atoms.
+
 Truncation conventions: artifact pairs are exempt from the zero clauses
 (their products exist beyond the bound).  The selector families and the
 covering pool are scoped as the ``covers`` module states; the families
@@ -42,6 +57,11 @@ class PreconditionUnmet(SgpdError):
     pass
 
 
+class NoProjectionAtoms(PreconditionUnmet):
+    """The initial and final projections generate no Boolean algebra: one
+    of them is not a projection, or two of them do not commute."""
+
+
 class NotACategory(SgpdError):
     pass
 
@@ -57,7 +77,7 @@ class Representation:
 
     `assign` is treated as immutable: the initial and final projection of
     every assigned matrix is computed once, on first use, and `initial`
-    and `final` look them up.
+    and `final` look them up.  So are the projection atoms (`_atoms`).
     """
 
     table: SemigroupoidTable
@@ -88,6 +108,10 @@ class Representation:
     def _finals(self) -> dict[str, RatMat]:
         return {f: s @ s.T for f, s in self.assign.items()}
 
+    @cached_property
+    def _atoms(self) -> ProjectionAtoms | None:
+        return projection_atoms(self)
+
     def initial(self, x) -> RatMat:
         if x is UNIT:
             return RatMat.identity(self.dim)
@@ -97,6 +121,78 @@ class Representation:
         if x is UNIT:
             return RatMat.identity(self.dim)
         return self._finals[x]
+
+
+@dataclass(frozen=True)
+class ProjectionAtoms:
+    """The initial and final projections of a representation as bitmasks
+    over the atoms of the Boolean algebra they generate: bit i is set when
+    atom i lies under the projection.  `full` (every atom) is the identity."""
+
+    initial: Mapping[str, int]
+    final: Mapping[str, int]
+    full: int
+
+
+def _projections(rep: Representation) -> list[tuple[str, str, RatMat]]:
+    """(symbol, element, matrix) for every Q_f, then every P_f, in the order
+    of the commute clauses."""
+    elements = sorted(rep.table.elements)
+    return [("Q", f, rep.initial(f)) for f in elements] + [
+        ("P", f, rep.final(f)) for f in elements
+    ]
+
+
+def projection_atoms(rep: Representation) -> ProjectionAtoms | None:
+    """The atoms of the initial and final projections, or None when one of
+    them is not a projection or two of them do not commute.
+
+    Starting from the identity, each distinct value p splits every atom A
+    into Ap and A - Ap, keeping the nonzero parts; Ap == pA is required,
+    since commuting with the current atoms is commuting with every earlier
+    value.  Each atom carries the set of values it lies under, as a bitmask
+    over the values, from which the projection masks are read."""
+    projections = _projections(rep)
+    values: dict[RatMat, int] = {}
+    index = [values.setdefault(p, len(values)) for _, _, p in projections]
+    identity = RatMat.identity(rep.dim)
+    atoms = [] if identity.is_zero() else [(identity, 0)]
+    for p, i in values.items():
+        if not p.is_projection():
+            return None
+        split = []
+        for a, under in atoms:
+            ap = a @ p
+            if ap != p @ a:
+                return None
+            rest = a - ap
+            if not ap.is_zero():
+                split.append((ap, under | 1 << i))
+            if not rest.is_zero():
+                split.append((rest, under))
+        atoms = split
+    masks = [
+        sum(1 << j for j, (_, under) in enumerate(atoms) if under >> i & 1)
+        for i in range(len(values))
+    ]
+    symbols = [(kind, f, masks[i]) for (kind, f, _), i in zip(projections, index)]
+    initial = {f: m for kind, f, m in symbols if kind == "Q"}
+    final = {f: m for kind, f, m in symbols if kind == "P"}
+    return ProjectionAtoms(initial, final, (1 << len(atoms)) - 1)
+
+
+def _atoms_obstruction(rep: Representation) -> str:
+    """Why a representation has no projection atoms: the first Q_f or P_f
+    that is not a projection, or else the first pair that does not commute."""
+    projections = _projections(rep)
+    for kind, f, p in projections:
+        if not p.is_projection():
+            return f"{kind}_{f} is not a projection: S_{f} is not a partial isometry"
+    for i, (kind, f, p) in enumerate(projections):
+        for kind2, g, q in projections[i + 1 :]:
+            if p @ q != q @ p:
+                return f"{kind}_{f} and {kind2}_{g} do not commute"
+    raise AssertionError("projection atoms missing without an obstruction")
 
 
 @dataclass(frozen=True)
@@ -120,6 +216,10 @@ class AxiomReport:
 # ("S*", f) its adjoint, ("Q", f) and ("P", f) its initial and final
 # projections.
 Side = tuple[tuple[str, str], ...] | None
+
+# clauses with a side that is not a product of projections; every other
+# clause but product-zero compares two products of projections
+_MATRIX_CLAUSES = frozenset({"partial-isometry", "product"})
 
 
 def axiom_clauses(
@@ -161,8 +261,14 @@ def check_axioms(rep: Representation) -> AxiomReport:
     """All representation axioms, exactly, in the order of axiom_clauses;
     the report carries the first failure.
 
-    The annihilation clause is additionally re-derived from the product
-    rule as an internal cross-check.
+    With projection atoms, a clause whose sides are products of
+    projections holds when their meets (masks ANDed) agree, and
+    product-zero S_f S_g = 0 holds when Q_f P_g = 0: atoms exist only when
+    every S is a partial isometry, and then S_f S_g = S_f (Q_f P_g) S_g and
+    Q_f P_g = S_f* (S_f S_g) S_g*.  The other clauses, and the got/want
+    matrices of a failing clause, are matrix products.  The annihilation
+    clause is additionally re-derived from the product rule with matrices,
+    as an internal cross-check.
     """
     zero = RatMat.zeros(rep.dim)
     mats = {}
@@ -172,22 +278,40 @@ def check_axioms(rep: Representation) -> AxiomReport:
         mats["S*", f] = s.T
         mats["Q", f] = rep.initial(f)
         mats["P", f] = rep.final(f)
+    atoms = rep._atoms
+    if atoms is not None:
+        masks = {("Q", f): m for f, m in atoms.initial.items()}
+        masks.update((("P", f), m) for f, m in atoms.final.items())
 
     def value(side):
         return zero if side is None else reduce(matmul, (mats[x] for x in side))
+
+    def meet(side):
+        if side is None:
+            return 0
+        out = atoms.full
+        for x in side:
+            out &= masks[x]
+        return out
+
+    def holds(tag, els, lhs, rhs):
+        if atoms is None or tag in _MATRIX_CLAUSES:
+            return value(lhs) == value(rhs)
+        if tag == "product-zero":
+            return masks["Q", els[0]] & masks["P", els[1]] == 0
+        return meet(lhs) == meet(rhs)
 
     def fail(tag, els, got, want):
         return AxiomReport(False, AxiomFailure(tag, els, got, want))
 
     for tag, _, els, lhs, rhs in axiom_clauses(rep.table):
-        got, want = value(lhs), value(rhs)
-        if got != want:
-            return fail(tag, els, got, want)
+        if not holds(tag, els, lhs, rhs):
+            return fail(tag, els, value(lhs), value(rhs))
         if tag == "annihilation":
             f, g = els
             derived = mats["S*", f] @ (mats["S", f] @ mats["S", g]) @ mats["S*", g]
-            if derived != got:
-                return fail("annihilation-derived", els, derived, got)
+            if derived != zero:
+                return fail("annihilation-derived", els, derived, zero)
     return AxiomReport(True)
 
 
@@ -217,42 +341,76 @@ def check_tight(
     """Tightness over all selector families with up to max_fg required and
     forbidden elements; every minimal covering of each selected set is
     checked.  All failing families are collected (deterministically
-    ordered), not just the first.  The join of each distinct covering, with
-    its partition self-check, is computed once per call."""
+    ordered), not just the first.
+
+    Decided on projection atoms, so it raises NoProjectionAtoms when there
+    are none (never after the axioms pass).  A family's product is the
+    meet of its Q masks and Q complements; each target's coverings are
+    grouped by join mask (with the partition self-check) once per call, so
+    a family costs one comparison per distinct join.  Matrices are built
+    only for the coverings of failing families, as the join of their final
+    projections and the product of initial projections and complements."""
+    atoms = rep._atoms
+    if atoms is None:
+        raise NoProjectionAtoms(_atoms_obstruction(rep))
     table = rep.table
     identity = RatMat.identity(rep.dim)
-    complements = {g: identity - rep.initial(g) for g in table.elements}
-    joins: dict[CoverSpec, tuple[tuple[str, ...], RatMat]] = {}
+    by_target: dict[frozenset[str], tuple[list[int], set[int]]] = {}
+    join_mats: dict[CoverSpec, RatMat] = {}
     failures = []
     families = 0
     coverings_checked = 0
     for required, forbidden, coverings in selector_families(table, max_fg, max_cover):
         families += 1
-        factors = [rep.initial(f) for f in required] + [complements[g] for g in forbidden]
-        rhs = reduce(matmul, factors)
-        for spec in coverings:
-            coverings_checked += 1
-            if spec not in joins:
-                joins[spec] = _covering_join(rep, spec)
-            covering, lhs = joins[spec]
+        coverings_checked += len(coverings)
+        if not coverings:
+            continue
+        target = coverings[0].target
+        if target not in by_target:
+            by_target[target] = _join_masks(table, atoms.final, coverings)
+        joins, distinct = by_target[target]
+        rhs = atoms.full
+        for f in required:
+            rhs &= atoms.initial[f]
+        for g in forbidden:
+            rhs &= ~atoms.initial[g]
+        if distinct == {rhs}:
+            continue
+        factors = [rep.initial(f) for f in required]
+        factors += [identity - rep.initial(g) for g in forbidden]
+        rhs_mat = reduce(matmul, factors)
+        for spec, lhs in zip(coverings, joins):
             if lhs != rhs:
-                failures.append(TightFailure(required, forbidden, covering, lhs, rhs))
+                covering = tuple(sorted(spec.candidate))
+                if spec not in join_mats:
+                    join_mats[spec] = join((rep.final(h) for h in covering), rep.dim)
+                failures.append(
+                    TightFailure(required, forbidden, covering, join_mats[spec], rhs_mat)
+                )
     return TightnessReport(not failures, tuple(failures), families, coverings_checked)
 
 
-def _covering_join(rep: Representation, spec: CoverSpec) -> tuple[tuple[str, ...], RatMat]:
-    """(sorted covering, join of its final projections).  On a partition the
-    join must equal the plain sum, which re-checks orthogonality."""
-    covering = tuple(sorted(spec.candidate))
-    finals = [rep.final(h) for h in covering]
-    lhs = join(finals, rep.dim)
-    if is_partition(rep.table, spec) is True:
-        if sum(finals, RatMat.zeros(rep.dim)) != lhs:
+def _join_masks(
+    table: SemigroupoidTable, final: Mapping[str, int], coverings: list[CoverSpec]
+) -> tuple[list[int], set[int]]:
+    """The join mask of each covering of one target, in order, and the set
+    of them.  On a partition the join must equal the plain sum of the final
+    projections, that is, the members' masks must be pairwise disjoint;
+    this re-checks orthogonality."""
+    joins = []
+    for spec in coverings:
+        joined = 0
+        overlap = False
+        for h in spec.candidate:
+            overlap = overlap or bool(joined & final[h])
+            joined |= final[h]
+        if is_partition(table, spec) is True and overlap:
             raise PreconditionUnmet(
                 "join and sum disagree on a partition; final "
                 "projections are not orthogonal (axioms violated?)"
             )
-    return covering, lhs
+        joins.append(joined)
+    return joins, set(joins)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,202 @@
+"""Differential tests for the projection atoms: `check_axioms` and
+`check_tight` decide projection clauses on bitmasks over the atoms of the
+initial and final projections, and build matrices only for failures.
+
+Each is compared against the plain matrix computation written out here (the
+axioms) or in `test_memos.py` (tightness).  Inputs are partial permutations
+(0/1 matrices with at most one 1 per row and column, whose projections
+commute) conjugated by one rational orthogonal matrix per dimension, so the
+entries are non-unit fractions; most of them fail some axiom.  Tables are
+the golden-mean truncation at length 3, the fixtures c, d and e, and random
+DAG tables.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from functools import reduce
+from operator import matmul
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sgpd.covers import BoundExceededError
+from sgpd.matrices import RatMat
+from sgpd.reps import (
+    AxiomFailure,
+    AxiomReport,
+    NoProjectionAtoms,
+    PreconditionUnmet,
+    Representation,
+    axiom_clauses,
+    check_axioms,
+    check_tight,
+)
+
+from conftest import random_dag_table
+from test_memos import HALF, ROTATION, ref_check_tight, ref_final, ref_initial, word_rep
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+ORTHOGONAL = {
+    1: RatMat.from_rows([[1]]),
+    2: ROTATION,
+    3: RatMat.from_rows([[Fraction(n, 3) for n in row] for row in [[1, 2, 2], [2, 1, -2], [2, -2, 1]]]),
+    4: RatMat.from_rows(
+        [[Fraction(n, 2) for n in row] for row in [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]]
+    ),
+}
+
+
+# ---- references: every clause as a matrix equation
+
+
+def ref_check_axioms(rep):
+    zero = RatMat.zeros(rep.dim)
+    mats = {}
+    for f in rep.table.elements:
+        s = rep.assign[f]
+        mats["S", f] = s
+        mats["S*", f] = s.T
+        mats["Q", f] = ref_initial(rep, f)
+        mats["P", f] = ref_final(rep, f)
+
+    def value(side):
+        return zero if side is None else reduce(matmul, (mats[x] for x in side))
+
+    for tag, _, els, lhs, rhs in axiom_clauses(rep.table):
+        got, want = value(lhs), value(rhs)
+        if got != want:
+            return AxiomReport(False, AxiomFailure(tag, els, got, want))
+        if tag == "annihilation":
+            f, g = els
+            derived = mats["S*", f] @ mats["S", f] @ mats["S", g] @ mats["S*", g]
+            if derived != got:
+                return AxiomReport(False, AxiomFailure("annihilation-derived", els, derived, got))
+    return AxiomReport(True)
+
+
+def outcome(check, *args):
+    """The report, or the class and message of a precondition or bound error."""
+    try:
+        return check(*args)
+    except (PreconditionUnmet, BoundExceededError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# ---- inputs
+
+
+def partial_permutation(rng, dim):
+    rows = [r for r in range(dim) if rng.random() < 0.6]
+    cols = rng.sample(range(dim), len(rows))
+    return RatMat.from_rows(
+        [[1 if (r, c) in zip(rows, cols) else 0 for c in range(dim)] for r in range(dim)]
+    )
+
+
+def conjugated(rep):
+    u = ORTHOGONAL[rep.dim]
+    return Representation(rep.table, rep.dim, {f: u @ s @ u.T for f, s in rep.assign.items()})
+
+
+KINDS = ["golden3", "fix_c", "fix_d", "fix_e", "dag", "words"]
+
+
+def random_representation(rng, fixtures, kind, dim):
+    """Conjugated partial permutations: per element on a table, or per edge
+    on a k-graph ("words": each morphism gets the product along its word,
+    so the product clauses hold)."""
+    fix_c, fix_d, fix_e, golden3 = fixtures
+    if kind == "words":
+        kg = rng.choice([fix_c, fix_d])
+        edges = sorted(e.name for e in kg.skeleton.edges)
+        return conjugated(word_rep(kg, {e: partial_permutation(rng, dim) for e in edges}))
+    table = {
+        "golden3": golden3.table,
+        "fix_c": fix_c.table,
+        "fix_d": fix_d.table,
+        "fix_e": fix_e,
+        "dag": random_dag_table(rng, max_elements=7),
+    }[kind]
+    zero_share = rng.random()
+    assign = {
+        f: RatMat.zeros(dim) if rng.random() < zero_share else partial_permutation(rng, dim)
+        for f in sorted(table.elements)
+    }
+    return conjugated(Representation(table, dim, assign))
+
+
+def assert_masks_match_matrices(rep):
+    atoms = rep._atoms
+    symbols = [(m, ref_initial(rep, f)) for f, m in atoms.initial.items()]
+    symbols += [(m, ref_final(rep, f)) for f, m in atoms.final.items()]
+    identity = RatMat.identity(rep.dim)
+    for ma, a in symbols:
+        assert (ma == 0) == a.is_zero()
+        assert (ma == atoms.full) == (a == identity)
+        for mb, b in symbols:
+            assert (ma & mb == 0) == (a @ b).is_zero()
+            assert (ma & ~mb == 0) == (a @ b == a)
+
+
+# ---- the differential tests
+
+
+@pytest.fixture(scope="module")
+def fixtures(fix_c, fix_d, fix_e, golden3):
+    return fix_c, fix_d, fix_e, golden3
+
+
+@FUZZ
+@given(
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(KINDS),
+    dim=st.integers(1, 4),
+    max_fg=st.integers(1, 2),
+)
+def test_atoms_match_matrices(fixtures, seed, kind, dim, max_fg):
+    rep = random_representation(random.Random(seed), fixtures, kind, dim)
+    assert rep._atoms is not None
+    assert_masks_match_matrices(rep)
+    assert check_axioms(rep) == ref_check_axioms(rep)
+    assert outcome(check_tight, rep, max_fg) == outcome(ref_check_tight, rep, max_fg)
+
+
+def test_inputs_reach_every_verdict(fixtures):
+    """The generators give inputs that pass and fail the axioms, and that
+    are and are not tight, so the comparisons above are of both kinds."""
+    axioms, tight = set(), set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        rep = random_representation(rng, fixtures, KINDS[seed % len(KINDS)], rng.randint(1, 4))
+        report = check_axioms(rep)
+        axioms.add(report.failure.tag if report.failure else "pass")
+        verdict = outcome(check_tight, rep, 1)
+        tight.add(verdict[0] if isinstance(verdict, tuple) else verdict.tight)
+    assert {"pass", "product", "product-zero"} <= axioms
+    assert {True, False} <= tight
+
+
+def test_non_commuting_projections(fix_d):
+    rep = word_rep(fix_d, {"b": ROTATION, "r": HALF})
+    assert rep._atoms is None
+    assert check_axioms(rep) == ref_check_axioms(rep)
+    with pytest.raises(NoProjectionAtoms, match="do not commute"):
+        check_tight(rep)
+
+
+def test_non_projection_named(fix_e):
+    rep = Representation(fix_e, 1, {"f": RatMat.from_rows([[2]])})
+    assert rep._atoms is None
+    assert check_axioms(rep) == ref_check_axioms(rep)
+    with pytest.raises(NoProjectionAtoms, match="Q_f is not a projection"):
+        check_tight(rep)
+
+
+def test_zero_dimension(fix_c):
+    rep = Representation(fix_c.table, 0, {f: RatMat(()) for f in fix_c.table.elements})
+    assert rep._atoms.full == 0
+    assert check_axioms(rep) == ref_check_axioms(rep)
+    assert check_tight(rep) == ref_check_tight(rep)

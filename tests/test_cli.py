@@ -5,8 +5,9 @@ import pytest
 import sgpd.cli
 import sgpd.markov
 from sgpd.cli import run
-from sgpd.formats import render_mat01, render_sgpd
+from sgpd.formats import render_mat01, render_rep, render_sgpd
 from sgpd.markov import Matrix01, build_markov
+from sgpd.matrices import RatMat
 
 
 @pytest.fixture()
@@ -20,6 +21,14 @@ def golden_mat(tmp_path, golden):
 def golden_table(tmp_path, golden):
     path = tmp_path / "A.sgpd"
     path.write_text(render_sgpd(build_markov(golden, 3).table))
+    return str(path)
+
+
+@pytest.fixture()
+def golden_zero_rep(tmp_path, golden):
+    path = tmp_path / "zero.rep"
+    elements = build_markov(golden, 3).table.elements
+    path.write_text(render_rep(1, {t: RatMat.zeros(1) for t in elements}))
     return str(path)
 
 
@@ -75,6 +84,28 @@ class TestExitCodes:
     def test_maxlen_below_one(self, golden_mat, maxlen):
         code, text = run(["markov", "--matrix", golden_mat, "--maxlen", maxlen])
         assert code == 2 and text.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rep", "check", "{table}", "{rep}", "--tight", "--max-fg", "-1"],
+            ["rep", "check", "{table}", "{rep}", "--tight", "--max-cover", "-1"],
+            ["covers", "{table}", "--max-size", "-1"],
+            ["relations", "{table}", "--style", "generic", "--max-fg", "-1"],
+            ["relations", "{table}", "--style", "generic", "--max-cover", "-2"],
+        ],
+    )
+    def test_negative_bound(self, golden_table, golden_zero_rep, argv):
+        argv = [a.format(table=golden_table, rep=golden_zero_rep) for a in argv]
+        assert run(argv) == (2, "")
+
+    def test_zero_bound(self, golden_table, golden_zero_rep):
+        code, text = run(
+            ["rep", "check", golden_table, golden_zero_rep, "--tight", "--max-fg", "0"]
+        )
+        assert code == 0 and "families-checked: 0" in text
+        code, text = run(["covers", golden_table, "--max-size", "0"])
+        assert code == 1 and "result: bound-exceeded" in text
 
     def test_rep_missing_matrix(self, tmp_path):
         table = tmp_path / "ab.sgpd"

@@ -17,7 +17,10 @@ from operator import matmul
 
 import pytest
 
+import sgpd.reps
+from sgpd.cli import run
 from sgpd.covers import is_partition, selector_families
+from sgpd.formats import render_rep, render_sgpd
 from sgpd.matrices import RatMat
 from sgpd.relations import (
     Add,
@@ -38,6 +41,7 @@ from sgpd.reps import (
     TightFailure,
     TightnessReport,
     check_tight,
+    projection_atoms,
 )
 
 from conftest import all_ones_rep, unitary_rep, zero_edge_rep, zero_rep
@@ -175,6 +179,24 @@ def test_tight_self_check_raises_like_unmemoised(golden3):
     with pytest.raises(PreconditionUnmet) as got:
         check_tight(rep)
     assert str(got.value) == str(want.value)
+
+
+def test_cli_builds_atoms_once(tmp_path, monkeypatch, golden3):
+    # `rep check --tight` runs check_axioms, then check_tight, on one
+    # representation; both read the same atoms
+    calls = []
+
+    def counted(rep):
+        calls.append(rep)
+        return projection_atoms(rep)
+
+    monkeypatch.setattr(sgpd.reps, "projection_atoms", counted)
+    table, rep = tmp_path / "g.sgpd", tmp_path / "g.rep"
+    table.write_text(render_sgpd(golden3.table))
+    rep.write_text(render_rep(2, {t: RatMat.zeros(2) for t in golden3.table.elements}))
+    code, text = run(["rep", "check", str(table), str(rep), "--tight"])
+    assert code == 0 and "tight: pass" in text
+    assert len(calls) == 1
 
 
 def test_projections_match_products(fix_d):
