@@ -83,7 +83,6 @@ def _threads() -> int:
 def cmd_validate(args, report: Report) -> int:
     table = _load_table(args.table)
     result = validate_associativity(table)
-    report.add("verb", "validate")
     report.add("elements", len(table.elements))
     report.add("composable", len(table.composable))
     report.add("checked-triples", result.checked_triples)
@@ -110,7 +109,6 @@ def cmd_validate(args, report: Report) -> int:
 def cmd_analyze(args, report: Report) -> int:
     table = _load_table(args.table)
     result = validate_associativity(table)
-    report.add("verb", "analyze")
     report.add("elements", len(table.elements))
     report.add("composable", len(table.composable))
     report.add("boundary", len(table.boundary))
@@ -136,7 +134,6 @@ def cmd_analyze(args, report: Report) -> int:
 def cmd_despring(args, report: Report) -> int:
     table = _load_table(args.table)
     extension = despring(table, args.mode)
-    report.add("verb", "despring")
     report.add("mode", args.mode)
     report.add("springs", len(find_springs(table).springs))
     report.add("adjoined", len(extension.idempotents))
@@ -157,7 +154,6 @@ def cmd_markov(args, report: Report) -> int:
     if args.maxlen < 1:
         raise formats.FormatError("--maxlen must be at least 1")
     matrix = formats.parse_mat01(_read(args.matrix))
-    report.add("verb", "markov")
     report.add("alphabet", " ".join(matrix.alphabet))
     code = 0
     if args.graphable:
@@ -189,7 +185,6 @@ def cmd_markov(args, report: Report) -> int:
 def cmd_kgraph(args, report: Report) -> int:
     skeleton = formats.parse_kgr(_read(args.kgr))
     max_degree = _parse_degree(args.maxdeg, skeleton.k)
-    report.add("verb", "kgraph")
     kg = build_kgraph(skeleton, max_degree)
     report.add("rank", skeleton.k)
     report.add("morphisms", len(kg.normal_form))
@@ -225,7 +220,6 @@ def cmd_covers(args, report: Report) -> int:
     if unknown:
         raise formats.FormatError(f"--target-fg names unknown elements {unknown}")
     target = common_followers(table, required, forbidden, full=True)
-    report.add("verb", "covers")
     report.add("target", " ".join(sorted(target)) or "-")
     try:
         specs = target_coverings(table, target, args.max_size)
@@ -248,7 +242,6 @@ def cmd_rep(args, report: Report) -> int:
         rep = Representation(table, dim, assign)
     except DimensionMismatch as exc:
         raise formats.FormatError(str(exc)) from exc
-    report.add("verb", "rep")
     report.add("dim", dim)
     axioms = check_axioms(rep)
     report.add("axioms", "pass" if axioms.ok else "fail")
@@ -302,7 +295,6 @@ def cmd_relations(args, report: Report) -> int:
         skeleton = formats.parse_kgr(_read(args.kgr))
         kg = build_kgraph(skeleton, _parse_degree(args.maxdeg, skeleton.k))
         pres = emit_kumjian_pask(kg, max_cover=args.max_cover)
-    report.add("verb", "relations")
     report.add("style", pres.style)
     report.add("generators", len(pres.generators))
     report.add("relations", len(pres.relations))
@@ -411,6 +403,7 @@ def run(argv=None) -> tuple[int, str]:
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), ""
     report = Report()
+    report.add("verb", args.verb)
     try:
         _threads()
         code = args.func(args, report)

@@ -199,79 +199,51 @@ class SemigroupoidTable:
 
 
 def validate_associativity(table: SemigroupoidTable) -> ValidationReport:
-    """Check the three-case associativity axiom over all applicable triples.
+    """Check the associativity axiom on every triple that triggers it.
 
-    Concluded pairs may be artifact (cut by a truncation bound); both
-    bracketings are compared whenever both stay inside the carrier.
+    The three cases differ only in their triggers: (i) every composable
+    (f,g) with each h after g, (ii) the same pairs with each h after fg,
+    (iii) every composable (g,h) with each f before gh, in sorted order.
+    One rule checks the conclusion: of the pairs (f,g), (g,h), (fg,h),
+    (f,gh), in that order and skipping any whose product factor does not
+    exist, the first that is neither composable nor artifact is a
+    missing-pair witness; otherwise, when both bracketings are composable,
+    (fg)h and f(gh) must be equal.
     """
-    comp = table.composable
-    art = table.artifact_pairs
     prod = table.product
+    ok = table.full_followers
     followers = {e: sorted(gs) for e, gs in table.followers.items()}
+    pairs = sorted(table.composable)
     preceders: dict[str, list[str]] = {e: [] for e in table.elements}
-    for f, g in sorted(comp):
+    for f, g in pairs:
         preceders[g].append(f)
+    cases = (
+        ("i", ((f, g, h) for f, g in pairs for h in followers[g])),
+        ("ii", ((f, g, h) for f, g in pairs for h in followers[prod[f, g]])),
+        ("iii", ((f, g, h) for g, h in pairs for f in preceders[prod[g, h]])),
+    )
 
     checked = 0
-
-    def ok_pair(p):
-        return p in comp or p in art
-
-    def fail(triple, case, kind, pair=None, products=None):
-        return ValidationReport(
-            False, AssociativityViolation(triple, case, kind, pair, products), checked
-        )
-
-    # case (i): (f,g), (g,h) composable
-    for (f, g) in sorted(comp):
-        fg = prod[(f, g)]
-        for h in followers[g]:
+    for case, triples in cases:
+        for f, g, h in triples:
             checked += 1
-            gh = prod[(g, h)]
-            for pair in ((fg, h), (f, gh)):
-                if not ok_pair(pair):
-                    return fail((f, g, h), "i", "missing-pair", pair)
-            if (fg, h) in comp and (f, gh) in comp:
-                lhs, rhs = prod[(fg, h)], prod[(f, gh)]
-                if lhs != rhs:
-                    return fail((f, g, h), "i", "unequal-products", products=(lhs, rhs))
-
-    # case (ii): (f,g), (fg,h) composable
-    for (f, g) in sorted(comp):
-        fg = prod[(f, g)]
-        for h in followers[fg]:
-            checked += 1
-            if not ok_pair((g, h)):
-                return fail((f, g, h), "ii", "missing-pair", (g, h))
-            if (g, h) in comp:
-                gh = prod[(g, h)]
-                if not ok_pair((f, gh)):
-                    return fail((f, g, h), "ii", "missing-pair", (f, gh))
-                if (f, gh) in comp:
-                    lhs, rhs = prod[(fg, h)], prod[(f, gh)]
-                    if lhs != rhs:
-                        return fail(
-                            (f, g, h), "ii", "unequal-products", products=(lhs, rhs)
-                        )
-
-    # case (iii): (g,h), (f,gh) composable
-    for (g, h) in sorted(comp):
-        gh = prod[(g, h)]
-        for f in preceders[gh]:
-            checked += 1
-            if not ok_pair((f, g)):
-                return fail((f, g, h), "iii", "missing-pair", (f, g))
-            if (f, g) in comp:
-                fg = prod[(f, g)]
-                if not ok_pair((fg, h)):
-                    return fail((f, g, h), "iii", "missing-pair", (fg, h))
-                if (fg, h) in comp:
-                    lhs, rhs = prod[(fg, h)], prod[(f, gh)]
-                    if lhs != rhs:
-                        return fail(
-                            (f, g, h), "iii", "unequal-products", products=(lhs, rhs)
-                        )
-
+            fg, gh = prod.get((f, g)), prod.get((g, h))
+            missing = (
+                (f, g) if g not in ok[f]
+                else (g, h) if h not in ok[g]
+                else (fg, h) if fg is not None and h not in ok[fg]
+                else (f, gh) if gh is not None and gh not in ok[f]
+                else None
+            )
+            if missing:
+                violation = AssociativityViolation((f, g, h), case, "missing-pair", missing)
+                return ValidationReport(False, violation, checked)
+            lhs, rhs = prod.get((fg, h)), prod.get((f, gh))
+            if lhs is not None and rhs is not None and lhs != rhs:
+                violation = AssociativityViolation(
+                    (f, g, h), case, "unequal-products", products=(lhs, rhs)
+                )
+                return ValidationReport(False, violation, checked)
     return ValidationReport(True, None, checked)
 
 

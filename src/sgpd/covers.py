@@ -94,42 +94,35 @@ def is_partition(table: SemigroupoidTable, spec: CoverSpec):
 
 def check_maximality(table: SemigroupoidTable, target, antichain) -> bool:
     """No element of the target can join `antichain` and stay pairwise
-    disjoint.  Partitions are exactly the maximal antichains, which the
-    test suite cross-checks against is_partition."""
+    disjoint: partitions are exactly the maximal antichains."""
     target = frozenset(target)
     antichain = frozenset(antichain)
     if not antichain <= target:
         raise CandidateNotSubset("antichain not inside target")
-    members = sorted(antichain)
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if intersects(table, a, b) is not None:
-                raise NotACovering(f"antichain members {a}, {b} intersect")
-    for f in sorted(target - antichain):
-        if all(intersects(table, f, h) is None for h in antichain):
-            return False
-    return True
+    verdict = is_partition(table, CoverSpec(target, antichain))
+    if isinstance(verdict, IntersectingPair):
+        raise NotACovering(f"antichain members {verdict.a}, {verdict.b} intersect")
+    return verdict is True
 
 
 def prune_covering(table: SemigroupoidTable, spec: CoverSpec) -> CoverSpec:
-    """Drop members divisible by another member until division-free.
+    """Drop every member divisible by another member (of an equivalent
+    pair, the greater name), leaving a division-free covering.
 
-    Anything intersecting a multiple intersects the divisor (division is
-    transitive), so the result still covers; this is re-verified anyway.
+    Whether a removes b depends only on the pair, and every pair that
+    survives one pass was tested while both were kept, so a second pass
+    would remove nothing.  Anything intersecting a multiple intersects the
+    divisor, so the result still covers; this is re-verified anyway.
     """
     if is_covering(table, spec) is not True:
         raise NotACovering("prune_covering needs a covering to start from")
     kept = sorted(spec.candidate)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(kept):
-            for b in list(kept):
-                if a == b or b not in kept or a not in kept:
-                    continue
-                if divides(table, a, b) and (not divides(table, b, a) or a < b):
-                    kept.remove(b)
-                    changed = True
+    for a in list(kept):
+        for b in list(kept):
+            if a == b or b not in kept or a not in kept:
+                continue
+            if divides(table, a, b) and (not divides(table, b, a) or a < b):
+                kept.remove(b)
     pruned = CoverSpec(spec.target, frozenset(kept))
     if is_covering(table, pruned) is not True:
         raise NotACovering("pruning broke the covering; table is inconsistent")

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .core import SemigroupoidTable, SgpdError, UnionFind, intersects
+from .core import SemigroupoidTable, SgpdError, UnionFind
+from .covers import CoverSpec, IntersectingPair, Uncovered, is_partition
 
 
 class InconsistentSquares(SgpdError):
@@ -166,9 +167,6 @@ class KGraph:
     def objects(self) -> tuple[str, ...]:
         return self.skeleton.objects
 
-    def morphisms(self) -> list[str]:
-        return sorted(self.normal_form)
-
     @cached_property
     def slices(self) -> dict[tuple[str, tuple[int, ...]], frozenset[str]]:
         """(object, degree) -> the morphisms of that range and degree, for
@@ -179,10 +177,6 @@ class KGraph:
         for t in self.normal_form:
             members[(self.range[t], self.degree[t])].add(t)
         return {key: frozenset(ts) for key, ts in members.items()}
-
-
-def _token(skeleton: KGraphSkeleton, word: Path, obj: str) -> str:
-    return obj if not word else ".".join(word)
 
 
 def build_kgraph(
@@ -255,7 +249,7 @@ def build_kgraph(
                 f"class of {nf} mixes endpoints {sorted(endpoints)}"
             )
         r, s = endpoints.pop()
-        token = _token(skeleton, nf, r)
+        token = ".".join(nf)
         normal_form[token] = nf
         for w in members:
             class_of[w] = token
@@ -377,18 +371,16 @@ def slice_partition_check(kg: KGraph, v: str, n: Sequence[int]):
     """The degree-n slice at v is a partition of the range-v morphisms,
     checked against the members whose common multiples stay in bounds."""
     slice_ = degree_slice(kg, v, n)
-    n = slice_.n
-    members = sorted(slice_.members)
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            m = intersects(kg.table, a, b)
-            if m is not None:
-                return SliceWitness("intersecting-pair", (a, b, m))
-    budget = _vec_sub(kg.max_degree, n)
-    within = [g for (u, d), ms in kg.slices.items() if u == v and _leq(d, budget) for g in ms]
-    for g in sorted(within):
-        if all(intersects(kg.table, g, h) is None for h in members):
-            return SliceWitness("uncovered", (g,))
+    budget = _vec_sub(kg.max_degree, slice_.n)
+    within = frozenset(
+        g for (u, d), ms in kg.slices.items() if u == v and _leq(d, budget) for g in ms
+    )
+    verdict = is_partition(kg.table, CoverSpec(within | slice_.members, slice_.members))
+    if isinstance(verdict, IntersectingPair):
+        detail = (verdict.a, verdict.b, verdict.common_multiple)
+        return SliceWitness("intersecting-pair", detail)
+    if isinstance(verdict, Uncovered):
+        return SliceWitness("uncovered", (verdict.element,))
     return True
 
 

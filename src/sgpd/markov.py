@@ -91,9 +91,6 @@ class MarkovTruncation:
     table: SemigroupoidTable
     words: dict[str, tuple[str, ...]]  # token -> letters
 
-    def word_of(self, token: str) -> tuple[str, ...]:
-        return self.words[token]
-
 
 def enumerate_words(matrix: Matrix01, max_len: int) -> list[tuple[str, ...]]:
     """All admissible words of length 1..max_len, ordered by length then

@@ -23,7 +23,7 @@ reports violations on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import matmul
 from typing import Mapping
@@ -195,8 +195,15 @@ class Relation:
     rhs: Term
     note: str = ""
 
+    @cached_property
+    def key(self) -> tuple[str, str, str]:
+        """(family, rendered lhs, rendered rhs): the order and identity of
+        relations in a presentation, rendered once per relation."""
+        return (self.family, render_term(self.lhs), render_term(self.rhs))
+
     def render(self) -> str:
-        return f"rel: {self.family}: {render_term(self.lhs)} = {render_term(self.rhs)}"
+        family, lhs, rhs = self.key
+        return f"rel: {family}: {lhs} = {rhs}"
 
 
 @dataclass(frozen=True)
@@ -212,14 +219,12 @@ class Presentation:
 
 
 def _finish(style: str, generators, relations) -> Presentation:
-    seen = set()
-    ordered = []
-    for r in sorted(relations, key=lambda r: (r.family, render_term(r.lhs), render_term(r.rhs))):
-        key = (r.family, render_term(r.lhs), render_term(r.rhs))
-        if key not in seen:
-            seen.add(key)
-            ordered.append(r)
-    return Presentation(style, tuple(sorted(generators)), tuple(ordered))
+    """The first relation of each key, ordered by key."""
+    first: dict[tuple[str, str, str], Relation] = {}
+    for r in relations:
+        first.setdefault(r.key, r)
+    ordered = tuple(first[key] for key in sorted(first))
+    return Presentation(style, tuple(sorted(generators)), ordered)
 
 
 _SYMBOL_TERM = {"S": Gen, "S*": Adj, "Q": q_term, "P": p_term}

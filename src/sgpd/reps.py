@@ -42,7 +42,7 @@ from itertools import combinations
 from operator import matmul
 from typing import Iterator, Mapping
 
-from .core import SemigroupoidTable, SgpdError, UNIT, d_set, intersects, is_monic
+from .core import SemigroupoidTable, SgpdError, d_set, intersects
 from .covers import CoverSpec, is_partition, selector_families, target_coverings
 from .kgraph import KGraph
 from .matrices import RatMat, hstack, join, rank
@@ -95,9 +95,7 @@ class Representation:
                     f"expected {(self.dim, self.dim)}"
                 )
 
-    def mat(self, x) -> RatMat:
-        if x is UNIT:
-            return RatMat.identity(self.dim)
+    def mat(self, x: str) -> RatMat:
         return self.assign[x]
 
     @cached_property
@@ -112,14 +110,10 @@ class Representation:
     def _atoms(self) -> ProjectionAtoms | None:
         return projection_atoms(self)
 
-    def initial(self, x) -> RatMat:
-        if x is UNIT:
-            return RatMat.identity(self.dim)
+    def initial(self, x: str) -> RatMat:
         return self._initials[x]
 
-    def final(self, x) -> RatMat:
-        if x is UNIT:
-            return RatMat.identity(self.dim)
+    def final(self, x: str) -> RatMat:
         return self._finals[x]
 
 

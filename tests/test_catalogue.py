@@ -21,9 +21,9 @@ from fractions import Fraction
 import pytest
 
 from sgpd.core import SemigroupoidTable
-from sgpd.markov import build_markov
+from sgpd.markov import Matrix01, build_markov
 from sgpd.matrices import RatMat
-from sgpd.relations import emit_generic, emit_kumjian_pask
+from sgpd.relations import emit_cuntz_krieger, emit_generic, emit_kumjian_pask
 from sgpd.reps import Representation, check_axioms
 
 A, B = Fraction(3, 5), Fraction(4, 5)
@@ -128,3 +128,25 @@ def test_kumjian_pask_presentation_digest(fix_d):
     assert _digest(emit_kumjian_pask(fix_d)) == (
         "218a427dfa911ae387124c1836434f54b208d29ef0f5c07429b65a359621410a"
     )
+
+
+CK_DIGESTS = {
+    "golden": (
+        [[1, 1], [1, 0]], None,
+        "9f4358c8d530dce6c991b1d86c38da5fd747b9730517e94a8600c00c87c15e5f",
+    ),
+    "unsorted-labels": (
+        [[0, 1, 1], [1, 0, 1], [1, 1, 1]], ("c", "a", "b"),
+        "e570eb53b19cf12bac1e7eb0c7cfc6baebfb786ea43d508b805d52b3e3d7af39",
+    ),
+    "zero-row": (
+        [[1, 1], [0, 0]], None,
+        "9f965d44cf2b21390f9e4dfe85351e0e2374a4e8fda41c0eeac4613591f66050",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CK_DIGESTS))
+def test_cuntz_krieger_presentation_digest(name):
+    rows, labels, digest = CK_DIGESTS[name]
+    assert _digest(emit_cuntz_krieger(Matrix01.from_rows(rows, labels))) == digest
