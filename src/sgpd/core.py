@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 
@@ -189,7 +190,7 @@ class SemigroupoidTable:
     @cached_property
     def full_followers(self) -> dict[str, frozenset[str]]:
         """f -> the g with (f, g) composable or artifact."""
-        return self._grouped(self.composable | self.artifact_pairs)
+        return self._grouped(chain(self.composable, self.artifact_pairs))
 
     @cached_property
     def multiples(self) -> dict[str, frozenset[str]]:

@@ -7,6 +7,12 @@ need the inclusion-minimal coverings: the join of final projections is
 monotone in the covering, so equality on a sub-covering carries to every
 super-covering.
 
+The minimal coverings of a target are the minimal hitting sets of its
+elements' neighbour families (the pool members each target element
+intersects).  They are enumerated with MMCS (Murakami-Uno) after the
+families are reduced to the inclusion-minimal distinct ones, which keeps
+the hitting sets: Tr(H) = Tr(min H).
+
 The tightness scope is stated here once, for the checkers in ``reps``, the
 emitters in ``relations`` and the CLI.  Selector families (required,
 forbidden) are drawn from the non-boundary elements, and the required part
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import SemigroupoidTable, SgpdError, common_followers, divides, intersects
+from .core import SemigroupoidTable, SgpdError, divides, intersects
 
 # search nodes the covering enumeration may visit before it gives up
 NODE_CAP = 200_000
@@ -130,35 +136,71 @@ def prune_covering(table: SemigroupoidTable, spec: CoverSpec) -> CoverSpec:
 
 
 def _minimal_hitting_sets(families: list[frozenset[str]]):
-    """All inclusion-minimal sets hitting every family, enumerated by
-    branching on the first unhit family with earlier siblings banned."""
-    results: list[frozenset[str]] = []
+    """All inclusion-minimal sets hitting every family, sorted.
+
+    MMCS (Murakami-Uno, *Efficient algorithms for dualizing large-scale
+    hypergraphs*, 2014) on int bitsets.  The families are first reduced to
+    the inclusion-minimal distinct ones, which leaves the minimal hitting
+    sets unchanged: Tr(H) = Tr(min H).  The search branches on the
+    uncovered family with the fewest candidates; each chosen element keeps
+    its critical families (those only it hits), and a child that would
+    leave a chosen element with none is skipped, so every leaf is minimal
+    and each minimal set is reached exactly once.
+    """
+    pool = sorted(set().union(*families))
+    bit = {h: 1 << i for i, h in enumerate(pool)}
+    masks = sorted(
+        {sum(bit[h] for h in fam) for fam in families},
+        key=lambda m: (m.bit_count(), m),
+    )
+    edges: list[int] = []
+    for m in masks:
+        if not any(e & m == e for e in edges):
+            edges.append(m)
+    # element i -> the edges it hits, as a bitset over edge indices
+    hits = [
+        sum(1 << j for j, e in enumerate(edges) if e >> i & 1) for i in range(len(pool))
+    ]
+    results: list[tuple[int, ...]] = []
+    chosen: list[int] = []
     nodes = 0
 
-    def rec(chosen: frozenset[str], banned: frozenset[str]):
+    def rec(cand: int, uncov: int, crit: list[int]):
         nonlocal nodes
         nodes += 1
         if nodes > NODE_CAP:
             raise BoundExceededError("covering enumeration exceeded the search cap")
-        unhit = [fam for fam in families if not fam & chosen]
-        if not unhit:
-            results.append(chosen)
+        if not uncov:
+            results.append(tuple(sorted(chosen)))
             return
-        fam = min(unhit, key=lambda s: (len(s - banned), sorted(s)))
-        options = sorted(fam - banned)
-        if not options:
-            return
-        local_ban = set(banned)
-        for h in options:
-            rec(chosen | {h}, frozenset(local_ban))
-            local_ban.add(h)
+        branch, fewest = 0, len(pool) + 1
+        rest = uncov
+        while rest:
+            low = rest & -rest
+            options = edges[low.bit_length() - 1] & cand
+            count = options.bit_count()
+            if count == 0:
+                return
+            if count < fewest:
+                branch, fewest = options, count
+            rest ^= low
+        # each option returns to CAND after its own branch, so a set is
+        # reached only under its last member in the branch family
+        cand &= ~branch
+        while branch:
+            low = branch & -branch
+            v = low.bit_length() - 1
+            hv = hits[v]
+            kept = [c & ~hv for c in crit]
+            if all(kept):
+                chosen.append(v)
+                rec(cand, uncov & ~hv, kept + [uncov & hv])
+                chosen.pop()
+            cand |= low
+            branch ^= low
 
-    rec(frozenset(), frozenset())
-    # the sibling bans make sets unique but not necessarily minimal
-    minimal = [
-        s for s in results if not any(t < s for t in results)
-    ]
-    return sorted(set(minimal), key=lambda s: tuple(sorted(s)))
+    rec((1 << len(pool)) - 1, (1 << len(edges)) - 1, [])
+    return [frozenset(pool[i] for i in s) for s in sorted(results)]
 
 
 def minimal_coverings(
@@ -211,10 +253,15 @@ def selector_families(
     active = sorted(table.elements - table.boundary)
     sizes = range(1, min(max_fg, len(active)) + 1)
     subsets = [c for size in sizes for c in combinations(active, size)]
+    # a target is the meet of the required parts' full followers minus the
+    # union of the forbidden parts'; both are taken once per subset
+    full = table.full_followers
+    meets = [frozenset.intersection(*(full[f] for f in s)) for s in subsets]
+    unions = [frozenset()] + [frozenset().union(*(full[f] for f in s)) for s in subsets]
     coverings: dict[frozenset[str], list[CoverSpec]] = {}
-    for required in subsets:
-        for forbidden in [()] + subsets:
-            target = common_followers(table, required, forbidden, full=True)
+    for required, meet in zip(subsets, meets):
+        for forbidden, union in zip([()] + subsets, unions):
+            target = meet - union
             if target not in coverings:
                 coverings[target] = target_coverings(table, target, max_cover)
             yield required, forbidden, coverings[target]

@@ -1,9 +1,12 @@
 import random
 from itertools import chain, combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sgpd.core import SemigroupoidTable, d_set, intersects
+from sgpd import covers
+from sgpd.core import SemigroupoidTable, common_followers, d_set, intersects
 from sgpd.covers import (
     BoundExceededError,
     CandidateNotSubset,
@@ -14,10 +17,15 @@ from sgpd.covers import (
     is_partition,
     minimal_coverings,
     prune_covering,
+    selector_families,
+    target_coverings,
 )
+from sgpd.kgraph import build_kgraph
 from sgpd.markov import build_markov
 
-from conftest import random_dag_table
+from conftest import random_dag_table, random_matrix01
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def subsets(items):
@@ -170,3 +178,163 @@ class TestMinimalCoverings:
         assert [tuple(sorted(s.candidate)) for s in a] == [
             tuple(sorted(s.candidate)) for s in b
         ]
+
+
+# ---- the enumerators MMCS and the per-subset targets replaced, as oracles
+
+
+def ref_minimal_hitting_sets(families):
+    """Branch on the first unhit family with earlier siblings banned, then
+    drop the non-minimal sets (no search cap)."""
+    results = []
+
+    def rec(chosen, banned):
+        unhit = [fam for fam in families if not fam & chosen]
+        if not unhit:
+            results.append(chosen)
+            return
+        fam = min(unhit, key=lambda s: (len(s - banned), sorted(s)))
+        local_ban = set(banned)
+        for h in sorted(fam - banned):
+            rec(chosen | {h}, frozenset(local_ban))
+            local_ban.add(h)
+
+    rec(frozenset(), frozenset())
+    minimal = [s for s in results if not any(t < s for t in results)]
+    return sorted(set(minimal), key=lambda s: tuple(sorted(s)))
+
+
+def ref_minimal_coverings(table, target, max_size, pool=None):
+    """minimal_coverings with the old enumerator in place of MMCS."""
+    with mock.patch.object(covers, "_minimal_hitting_sets", ref_minimal_hitting_sets):
+        return minimal_coverings(table, target, max_size, pool)
+
+
+def ref_selector_families(table, max_fg, max_cover):
+    active = sorted(table.elements - table.boundary)
+    sizes = range(1, min(max_fg, len(active)) + 1)
+    subsets = [c for size in sizes for c in combinations(active, size)]
+    cache = {}
+    for required in subsets:
+        for forbidden in [()] + subsets:
+            target = common_followers(table, required, forbidden, full=True)
+            if target not in cache:
+                cache[target] = target_coverings(table, target, max_cover)
+            yield required, forbidden, cache[target]
+
+
+def outcome(call, *args):
+    """The result, or the message and witness of a BoundExceededError."""
+    try:
+        return call(*args)
+    except BoundExceededError as err:
+        return ("bound", str(err), err.oversized)
+
+
+# ---- inputs
+
+LETTERS = st.sampled_from("abcdefghi")
+
+
+@st.composite
+def hypergraphs(draw):
+    """Families over a few letters, with duplicate, nested and singleton
+    families mixed in, in random order."""
+    families = draw(st.lists(st.frozensets(LETTERS, min_size=1, max_size=3), max_size=10))
+    extra = []
+    for fam in families:
+        kind = draw(st.sampled_from(["none", "duplicate", "nested", "singleton"]))
+        if kind == "duplicate":
+            extra.append(fam)
+        elif kind == "nested":
+            extra.append(draw(st.frozensets(st.sampled_from(sorted(fam)), min_size=1)))
+            extra.append(draw(st.frozensets(LETTERS)) | fam)
+        elif kind == "singleton":
+            extra.append(frozenset({draw(LETTERS)}))
+    return draw(st.permutations(families + extra))
+
+
+TABLES = st.one_of(
+    st.integers(0, 2**32).map(lambda seed: random_dag_table(random.Random(seed))),
+    st.tuples(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 3)).map(
+        lambda t: build_markov(random_matrix01(random.Random(t[0]), t[1]), t[2]).table
+    ),
+)
+
+
+def kgraph_tables(fix_c, fix_d):
+    return [fix_c.table, fix_d.table, build_kgraph(fix_d.skeleton, (3, 2)).table]
+
+
+# ---- differential tests
+
+
+@FUZZ
+@given(hypergraphs())
+def test_hitting_sets_match_reference(families):
+    assert covers._minimal_hitting_sets(list(families)) == ref_minimal_hitting_sets(
+        list(families)
+    )
+
+
+def test_minimal_set_with_two_members_of_one_family():
+    families = [frozenset("ab"), frozenset("ac"), frozenset("bd")]
+    assert covers._minimal_hitting_sets(families) == [
+        frozenset("ab"), frozenset("ad"), frozenset("bc")
+    ]
+
+
+def _targets_and_pools(table, data):
+    elements = sorted(table.elements)
+    target = data.draw(st.frozensets(st.sampled_from(elements), max_size=12))
+    pool = data.draw(
+        st.sampled_from([None, target - table.boundary, frozenset(elements[::2])])
+    )
+    return target, pool
+
+
+@FUZZ
+@given(TABLES, st.integers(1, 6), st.data())
+def test_minimal_coverings_match_reference(table, max_size, data):
+    target, pool = _targets_and_pools(table, data)
+    assert outcome(minimal_coverings, table, target, max_size, pool) == outcome(
+        ref_minimal_coverings, table, target, max_size, pool
+    )
+
+
+@FUZZ
+@given(st.sampled_from([0, 1, 2]), st.integers(1, 6), st.data())
+def test_kgraph_coverings_match_reference(fix_c, fix_d, which, max_size, data):
+    table = kgraph_tables(fix_c, fix_d)[which]
+    target, pool = _targets_and_pools(table, data)
+    assert outcome(minimal_coverings, table, target, max_size, pool) == outcome(
+        ref_minimal_coverings, table, target, max_size, pool
+    )
+
+
+def test_whole_carrier_coverings_match_reference(golden, fix_c, fix_d):
+    tables = [build_markov(golden, n).table for n in (2, 3, 4)]
+    tables += kgraph_tables(fix_c, fix_d)
+    for table in tables:
+        for max_size in (2, 4, 16):
+            for pool in (None, table.elements - table.boundary):
+                assert outcome(
+                    minimal_coverings, table, table.elements, max_size, pool
+                ) == outcome(ref_minimal_coverings, table, table.elements, max_size, pool)
+
+
+def test_search_cap_has_no_witness(monkeypatch, golden):
+    table = build_markov(golden, 3).table
+    monkeypatch.setattr(covers, "NODE_CAP", 3)
+    with pytest.raises(BoundExceededError) as info:
+        minimal_coverings(table, table.elements, max_size=16)
+    assert str(info.value) == "covering enumeration exceeded the search cap"
+    assert info.value.oversized is None
+
+
+@FUZZ
+@given(TABLES, st.integers(1, 2))
+def test_selector_families_match_per_family_targets(table, max_fg):
+    assert outcome(lambda: list(selector_families(table, max_fg, 16))) == outcome(
+        lambda: list(ref_selector_families(table, max_fg, 16))
+    )
