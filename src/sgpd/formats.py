@@ -85,7 +85,7 @@ def parse_mat01(text: str) -> Matrix01:
     n: int | None = None
     for lineno, line in _lines(text):
         if n is None:
-            if not line.isdigit():
+            if not line.isdecimal():
                 raise FormatError(f"line {lineno}: expected the matrix size")
             n = int(line)
         elif line.startswith("labels:"):

@@ -84,13 +84,6 @@ class KGraphSkeleton:
             raise ValueError(f"unknown edge {name!r}") from None
 
 
-def _degree(skeleton: KGraphSkeleton, word: Path) -> tuple[int, ...]:
-    deg = [0] * skeleton.k
-    for name in word:
-        deg[skeleton.edge(name).color - 1] += 1
-    return tuple(deg)
-
-
 def _leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -189,23 +182,22 @@ def build_kgraph(
         raise ValueError("max_degree must be a nonnegative vector of length k")
     swap = _validate_squares(skeleton)
 
-    # all nonempty composable edge words of bounded degree, with endpoints;
-    # identity morphisms are handled separately (an empty word cannot carry
-    # its object)
-    words: dict[Path, tuple[str, str]] = {}  # word -> (range, source)
-    frontier: list[tuple[Path, str, str]] = [((), v, v) for v in skeleton.objects]
+    # all nonempty composable edge words of bounded degree, each with its
+    # (range, source, degree); identity morphisms are handled separately (an
+    # empty word cannot carry its object).  Each word is reached once, from
+    # its prefix.
+    words: dict[Path, tuple[str, str, tuple[int, ...]]] = {}
+    frontier = [((), (v, v, (0,) * skeleton.k)) for v in skeleton.objects]
     while frontier:
         new_frontier = []
-        for word, r, s in frontier:
+        for word, (r, s, deg) in frontier:
             for e in skeleton.edges:
-                if e.dst != s:
+                c = e.color - 1
+                if e.dst != s or deg[c] == max_degree[c]:
                     continue
                 new_word = word + (e.name,)
-                if not _leq(_degree(skeleton, new_word), max_degree):
-                    continue
-                if new_word not in words:
-                    words[new_word] = (r, e.src)
-                    new_frontier.append((new_word, r, e.src))
+                words[new_word] = (r, e.src, deg[:c] + (deg[c] + 1,) + deg[c + 1 :])
+                new_frontier.append((new_word, words[new_word]))
         frontier = new_frontier
 
     # square-move closure
@@ -243,19 +235,16 @@ def build_kgraph(
                 f"members: {sorted(sorted_members)}"
             )
         nf = sorted_members[0]
-        endpoints = {words[w] for w in members}
+        endpoints = {words[w][:2] for w in members}
         if len(endpoints) != 1:
             raise InconsistentSquares(
                 f"class of {nf} mixes endpoints {sorted(endpoints)}"
             )
-        r, s = endpoints.pop()
         token = ".".join(nf)
         normal_form[token] = nf
         for w in members:
             class_of[w] = token
-        source[token] = s
-        range_[token] = r
-        degree[token] = _degree(skeleton, nf)
+        range_[token], source[token], degree[token] = words[nf]
 
     if len(normal_form) != len(classes) + len(skeleton.objects):
         raise InconsistentSquares("morphism tokens collide")
@@ -271,7 +260,7 @@ def build_kgraph(
             total = _vec_add(degree[f], degree[g])
             if _leq(total, max_degree):
                 combined = normal_form[f] + normal_form[g]
-                product[(f, g)] = class_of[uf.find(combined)] if combined else f
+                product[(f, g)] = class_of[combined] if combined else f
             else:
                 artifacts.add((f, g))
     boundary = frozenset(

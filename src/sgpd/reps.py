@@ -10,19 +10,22 @@ The axioms are listed once, by ``axiom_clauses``, which the presentation
 emitter in ``relations`` maps over as well.
 
 All verdicts are exact; there are no tolerances.  The adjoint is the
-transpose (real entries).
+transpose (real entries).  Each representation computes its symbols S_f,
+S_f*, Q_f = S_f* S_f and P_f = S_f S_f* once, into one map that every
+check reads.
 
 Projection atoms: when every initial and final projection Q_f, P_f is a
 projection and they pairwise commute, they generate a finite Boolean
 algebra whose atoms (at most ``dim`` of them) are found once per
 representation.  Each Q_f and P_f is then a bitmask over the atoms, so a
 meet is ``&``, a complement ``full & ~m`` and a join ``|``.
-``check_axioms`` skips the commute clauses, which the atoms' existence
-settles, and decides every other clause whose sides are products of
-projections on the masks (and product-zero as Q_f P_g = 0, which for
-partial isometries is equivalent to S_f S_g = 0); only the
-partial-isometry and product clauses, the annihilation cross-check and the
-got/want matrices of a failure are computed as matrices.  ``check_tight``
+``check_axioms`` neither builds nor decides the commute clauses, which
+the atoms' existence settles, and decides every other clause whose sides
+are products of projections on the masks (and product-zero as
+Q_f P_g = 0, which for partial isometries is equivalent to S_f S_g = 0);
+only the partial-isometry and product clauses, the annihilation
+cross-check and the got/want matrices of a failure are computed as
+matrices.  ``check_tight``
 requires the atoms: it decides every family on masks, builds matrices only
 for the failures, and raises ``NoProjectionAtoms`` (naming the first
 non-projection or the first non-commuting pair) when there are none.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import matmul
 from typing import Iterator, Mapping
 
@@ -76,9 +79,10 @@ class DegenerateRepresentation(SgpdError):
 class Representation:
     """An assignment of dim x dim matrices to the elements of a table.
 
-    `assign` is treated as immutable: the initial and final projection of
-    every assigned matrix is computed once, on first use, and `initial`
-    and `final` look them up.  So are the projection atoms (`_atoms`).
+    `assign` is treated as immutable: each S_f, its adjoint and its initial
+    and final projections are computed once, on first use, into one symbol
+    map (`_symbols`) that `initial`, `final` and the checks read.  So are
+    the projection atoms (`_atoms`).
     """
 
     table: SemigroupoidTable
@@ -100,22 +104,22 @@ class Representation:
         return self.assign[x]
 
     @cached_property
-    def _initials(self) -> dict[str, RatMat]:
-        return {f: s.T @ s for f, s in self.assign.items()}
-
-    @cached_property
-    def _finals(self) -> dict[str, RatMat]:
-        return {f: s @ s.T for f, s in self.assign.items()}
+    def _symbols(self) -> dict[tuple[str, str], RatMat]:
+        out = {}
+        for f, s in self.assign.items():
+            t = s.T
+            out["S", f], out["S*", f], out["Q", f], out["P", f] = s, t, t @ s, s @ t
+        return out
 
     @cached_property
     def _atoms(self) -> ProjectionAtoms | None:
         return projection_atoms(self)
 
     def initial(self, x: str) -> RatMat:
-        return self._initials[x]
+        return self._symbols["Q", x]
 
     def final(self, x: str) -> RatMat:
-        return self._finals[x]
+        return self._symbols["P", x]
 
 
 @dataclass(frozen=True)
@@ -129,13 +133,10 @@ class ProjectionAtoms:
     full: int
 
 
-def _projections(rep: Representation) -> list[tuple[str, str, RatMat]]:
-    """(symbol, element, matrix) for every Q_f, then every P_f, in the order
-    of the commute clauses."""
-    elements = sorted(rep.table.elements)
-    return [("Q", f, rep.initial(f)) for f in elements] + [
-        ("P", f, rep.final(f)) for f in elements
-    ]
+def _projections(elements: list[str]) -> list[tuple[str, str]]:
+    """The symbol of every Q_f, then every P_f, in the order of the commute
+    clauses."""
+    return [("Q", f) for f in elements] + [("P", f) for f in elements]
 
 
 def projection_atoms(rep: Representation) -> ProjectionAtoms | None:
@@ -147,9 +148,11 @@ def projection_atoms(rep: Representation) -> ProjectionAtoms | None:
     since commuting with the current atoms is commuting with every earlier
     value.  Each atom carries the set of values it lies under, as a bitmask
     over the values, from which the projection masks are read."""
-    projections = _projections(rep)
+    elements = sorted(rep.table.elements)
     values: dict[RatMat, int] = {}
-    index = [values.setdefault(p, len(values)) for _, _, p in projections]
+    index = {
+        x: values.setdefault(rep._symbols[x], len(values)) for x in _projections(elements)
+    }
     identity = RatMat.identity(rep.dim)
     atoms = [] if identity.is_zero() else [(identity, 0)]
     for p, i in values.items():
@@ -170,23 +173,21 @@ def projection_atoms(rep: Representation) -> ProjectionAtoms | None:
         sum(1 << j for j, (_, under) in enumerate(atoms) if under >> i & 1)
         for i in range(len(values))
     ]
-    symbols = [(kind, f, masks[i]) for (kind, f, _), i in zip(projections, index)]
-    initial = {f: m for kind, f, m in symbols if kind == "Q"}
-    final = {f: m for kind, f, m in symbols if kind == "P"}
+    initial = {f: masks[index["Q", f]] for f in elements}
+    final = {f: masks[index["P", f]] for f in elements}
     return ProjectionAtoms(initial, final, (1 << len(atoms)) - 1)
 
 
 def _atoms_obstruction(rep: Representation) -> str:
     """Why a representation has no projection atoms: the first Q_f or P_f
     that is not a projection, or else the first pair that does not commute."""
-    projections = _projections(rep)
-    for kind, f, p in projections:
-        if not p.is_projection():
+    symbols = rep._symbols
+    for kind, f in _projections(sorted(rep.table.elements)):
+        if not symbols[kind, f].is_projection():
             return f"{kind}_{f} is not a projection: S_{f} is not a partial isometry"
-    for i, (kind, f, p) in enumerate(projections):
-        for kind2, g, q in projections[i + 1 :]:
-            if p @ q != q @ p:
-                return f"{kind}_{f} and {kind2}_{g} do not commute"
+    for _, _, _, (a, b), _ in _commute_clauses(rep.table):
+        if symbols[a] @ symbols[b] != symbols[b] @ symbols[a]:
+            return f"{a[0]}_{a[1]} and {b[0]}_{b[1]} do not commute"
     raise AssertionError("projection atoms missing without an obstruction")
 
 
@@ -211,20 +212,25 @@ class AxiomReport:
 # ("S*", f) its adjoint, ("Q", f) and ("P", f) its initial and final
 # projections.
 Side = tuple[tuple[str, str], ...] | None
+Clause = tuple[str, str, tuple[str, ...], Side, Side]
 
 # clauses with a side that is not a product of projections; every other
 # clause but product-zero compares two products of projections
 _MATRIX_CLAUSES = frozenset({"partial-isometry", "product"})
 
 
-def axiom_clauses(
-    table: SemigroupoidTable,
-) -> Iterator[tuple[str, str, tuple[str, ...], Side, Side]]:
+def axiom_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
     """(check tag, relation family, elements, lhs, rhs) for every axiom
-    clause lhs = rhs of the table, in checking order.
+    clause lhs = rhs of the table, in checking order: the S clauses, the
+    commute clauses, then the other projection clauses.
 
     The zero clauses (product-zero, annihilation) skip artifact pairs.
     """
+    return chain(_s_clauses(table), _commute_clauses(table), _projection_clauses(table))
+
+
+def _s_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
+    """Partial-isometry, product and product-zero clauses."""
     elements = sorted(table.elements)
     for f in elements:
         s = ("S", f)
@@ -236,10 +242,19 @@ def axiom_clauses(
                 yield "product", "product", (f, g), lhs, (("S", table.product[(f, g)]),)
             elif (f, g) not in table.artifact_pairs:
                 yield "product-zero", "product-zero", (f, g), lhs, None
-    projections = [("Q", f) for f in elements] + [("P", f) for f in elements]
+
+
+def _commute_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
+    """Every pair of projections commutes, in the order of `_projections`."""
+    projections = _projections(sorted(table.elements))
     for i, a in enumerate(projections):
         for b in projections[i + 1 :]:
             yield f"commute-{a[0]}{b[0]}", "commute", (a[1], b[1]), (a, b), (b, a)
+
+
+def _projection_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
+    """Disjoint, domination and annihilation clauses."""
+    elements = sorted(table.elements)
     for i, f in enumerate(elements):
         for g in elements[i + 1 :]:
             if intersects(table, f, g) is None:
@@ -257,25 +272,23 @@ def check_axioms(rep: Representation) -> AxiomReport:
     the report carries the first failure.
 
     With projection atoms, every commute clause holds (atoms exist only
-    when all the projections commute), so none is decided; any other
-    clause whose sides are products of projections holds when their meets
-    (masks ANDed) agree, and product-zero S_f S_g = 0 holds when
+    when all the projections commute), so none is built or decided; any
+    other clause whose sides are products of projections holds when their
+    meets (masks ANDed) agree, and product-zero S_f S_g = 0 holds when
     Q_f P_g = 0: atoms exist only when every S is a partial isometry, and
     then S_f S_g = S_f (Q_f P_g) S_g and Q_f P_g = S_f* (S_f S_g) S_g*.
     The other clauses, and the got/want matrices of a failing clause, are
-    matrix products.  The annihilation clause is additionally re-derived
-    from the product rule with matrices, as an internal cross-check.
+    matrix products of the symbol map.  The annihilation clause is
+    additionally re-derived from the product rule with matrices, as an
+    internal cross-check.
     """
     zero = RatMat.zeros(rep.dim)
-    mats = {}
-    for f in rep.table.elements:
-        s = rep.mat(f)
-        mats["S", f] = s
-        mats["S*", f] = s.T
-        mats["Q", f] = rep.initial(f)
-        mats["P", f] = rep.final(f)
+    mats = rep._symbols
     atoms = rep._atoms
-    if atoms is not None:
+    if atoms is None:
+        clauses = axiom_clauses(rep.table)
+    else:
+        clauses = chain(_s_clauses(rep.table), _projection_clauses(rep.table))
         masks = {("Q", f): m for f, m in atoms.initial.items()}
         masks.update((("P", f), m) for f, m in atoms.final.items())
 
@@ -300,9 +313,7 @@ def check_axioms(rep: Representation) -> AxiomReport:
     def fail(tag, els, got, want):
         return AxiomReport(False, AxiomFailure(tag, els, got, want))
 
-    for tag, family, els, lhs, rhs in axiom_clauses(rep.table):
-        if family == "commute" and atoms is not None:
-            continue
+    for tag, _, els, lhs, rhs in clauses:
         if not holds(tag, els, lhs, rhs):
             return fail(tag, els, value(lhs), value(rhs))
         if tag == "annihilation":

@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    AssociativityError,
-    SemigroupoidTable,
-    UnionFind,
-    validate_associativity,
-)
+from .core import SemigroupoidTable, UnionFind
 
 
 @dataclass(frozen=True)
@@ -104,13 +99,7 @@ def despring(table: SemigroupoidTable, mode: str = "finest") -> SpringExtension:
     for token in idempotents:
         product[(token, token)] = token
 
-    extended = SemigroupoidTable(
-        frozenset(table.elements) | set(idempotents),
-        product,
-        table.boundary,
-        table.artifact_pairs,
+    extended = SemigroupoidTable.build(
+        table.elements | set(idempotents), product, table.boundary, table.artifact_pairs
     )
-    report = validate_associativity(extended)
-    if not report:
-        raise AssociativityError(report)
     return SpringExtension(table, idempotents, extended, mode)

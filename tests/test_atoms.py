@@ -21,6 +21,8 @@ from operator import matmul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sgpd.reps
+from sgpd.core import SemigroupoidTable
 from sgpd.covers import BoundExceededError
 from sgpd.matrices import RatMat
 from sgpd.reps import (
@@ -193,6 +195,33 @@ def test_non_projection_named(fix_e):
     assert check_axioms(rep) == ref_check_axioms(rep)
     with pytest.raises(NoProjectionAtoms, match="Q_f is not a projection"):
         check_tight(rep)
+
+
+def test_atoms_build_no_commute_clause(monkeypatch, fixtures):
+    """With atoms, check_axioms draws no commute clause: the commute stream
+    is replaced by one that raises when drawn, and the reports still match.
+    Without atoms (S_f and S_g pass every S clause, Q_f and Q_g do not
+    commute) it is drawn."""
+    reps = [
+        random_representation(random.Random(seed), fixtures, KINDS[seed % len(KINDS)], 1 + seed % 4)
+        for seed in range(30)
+    ]
+    assert all(rep._atoms is not None for rep in reps)
+    want = [ref_check_axioms(rep) for rep in reps]
+    a, b = Fraction(3, 5), Fraction(4, 5)
+    no_atoms = Representation(SemigroupoidTable.build({"f", "g"}, {}), 3, {
+        "f": RatMat.from_rows([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
+        "g": RatMat.from_rows([[0, 0, 0], [0, 0, 0], [a, b, 0]]),
+    })
+
+    def drawn(table):
+        raise AssertionError("a commute clause was drawn")
+        yield
+
+    monkeypatch.setattr(sgpd.reps, "_commute_clauses", drawn)
+    assert [check_axioms(rep) for rep in reps] == want
+    with pytest.raises(AssertionError, match="commute clause was drawn"):
+        check_axioms(no_atoms)
 
 
 def test_zero_dimension(fix_c):

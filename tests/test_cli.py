@@ -80,6 +80,13 @@ class TestExitCodes:
         code, text = run(["rep", "check", str(table), str(rep)])
         assert code == 2 and text.startswith("error:")
 
+    def test_non_ascii_digit_matrix_size(self, tmp_path):
+        # "²" is a digit to str.isdigit but not a decimal int() accepts
+        mat = tmp_path / "sq.mat01"
+        mat.write_text("²\n")
+        code, text = run(["markov", "--matrix", str(mat)])
+        assert code == 2 and "expected the matrix size" in text
+
     @pytest.mark.parametrize("maxlen", ["0", "-1"])
     def test_maxlen_below_one(self, golden_mat, maxlen):
         code, text = run(["markov", "--matrix", golden_mat, "--maxlen", maxlen])

@@ -2,13 +2,16 @@ from itertools import product as iproduct
 
 import pytest
 
-from sgpd.core import d_set, intersects, validate_associativity
+from sgpd.core import SemigroupoidTable, UnionFind, d_set, intersects, validate_associativity
 from sgpd.kgraph import (
     BadSplit,
     DegreeOutOfRange,
     Edge,
     InconsistentSquares,
     KGraphSkeleton,
+    _box,
+    _splits,
+    _validate_squares,
     build_kgraph,
     common_extensions,
     degree_slice,
@@ -112,6 +115,146 @@ class TestBuild:
         )
         with pytest.raises(InconsistentSquares):
             build_kgraph(skeleton, (1, 1))
+
+
+def ref_build_kgraph(skeleton, max_degree):
+    """build_kgraph's fields by the direct method: every word's degree is
+    recounted letter by letter, and a product is looked up through the
+    square-move class representative."""
+    swap = _validate_squares(skeleton)
+
+    def degree_of(word):
+        deg = [0] * skeleton.k
+        for name in word:
+            deg[skeleton.edge(name).color - 1] += 1
+        return tuple(deg)
+
+    def within(deg):
+        return all(x <= y for x, y in zip(deg, max_degree))
+
+    words = {}
+    frontier = [((), v, v) for v in skeleton.objects]
+    while frontier:
+        new_frontier = []
+        for word, r, s in frontier:
+            for e in skeleton.edges:
+                new_word = word + (e.name,)
+                if e.dst == s and within(degree_of(new_word)) and new_word not in words:
+                    words[new_word] = (r, e.src)
+                    new_frontier.append((new_word, r, e.src))
+        frontier = new_frontier
+    uf = UnionFind(words)
+    for word in sorted(words):
+        for i in range(len(word) - 1):
+            if (word[i], word[i + 1]) in swap:
+                uf.union(word, word[:i] + swap[word[i], word[i + 1]] + word[i + 2 :])
+    classes = {}
+    for w in sorted(words):
+        classes.setdefault(uf.find(w), []).append(w)
+    zero = (0,) * skeleton.k
+    normal_form = {v: () for v in skeleton.objects}
+    source = {v: v for v in skeleton.objects}
+    range_ = dict(source)
+    degree = {v: zero for v in skeleton.objects}
+    class_of = {}
+    for members in classes.values():
+        colors = {w: [skeleton.edge(n).color for n in w] for w in members}
+        nfs = [w for w in members if colors[w] == sorted(colors[w])]
+        if len(nfs) != 1:
+            raise InconsistentSquares(
+                f"class of {min(members)} has {len(nfs)} color-sorted members: {sorted(nfs)}"
+            )
+        endpoints = {words[w] for w in members}
+        if len(endpoints) != 1:
+            raise InconsistentSquares(f"class of {nfs[0]} mixes endpoints {sorted(endpoints)}")
+        token = ".".join(nfs[0])
+        normal_form[token] = nfs[0]
+        class_of.update((w, token) for w in members)
+        range_[token], source[token] = endpoints.pop()
+        degree[token] = degree_of(nfs[0])
+    product, artifacts = {}, set()
+    for f in normal_form:
+        for g in normal_form:
+            if source[f] == range_[g]:
+                total = tuple(a + b for a, b in zip(degree[f], degree[g]))
+                combined = normal_form[f] + normal_form[g]
+                if not within(total):
+                    artifacts.add((f, g))
+                else:
+                    product[(f, g)] = class_of[uf.find(combined)] if combined else f
+    boundary = {
+        t for t in normal_form
+        if degree[t] != zero and any(d == b for d, b in zip(degree[t], max_degree))
+    }
+    table = SemigroupoidTable.build(normal_form, product, boundary, artifacts)
+    splits = _splits(table, degree)
+    factorizations = {}
+    for f in normal_form:
+        for n in _box(degree[f]):
+            assert len(splits.get((f, n), [])) == 1
+            factorizations[(f, n)] = splits[(f, n)][0]
+    return (normal_form, class_of, source, range_, degree, product, artifacts, boundary,
+            factorizations)
+
+
+def kgraph_fields(kg):
+    return (dict(kg.normal_form), dict(kg.class_of), dict(kg.source), dict(kg.range),
+            dict(kg.degree), dict(kg.table.product), set(kg.table.artifact_pairs),
+            set(kg.table.boundary), dict(kg.factorizations))
+
+
+def two_loops():
+    return KGraphSkeleton(
+        2, ("v",), (Edge("b", 1, "v", "v"), Edge("r", 2, "v", "v")), ((("b", "r"), ("r", "b")),)
+    )
+
+
+class TestBuildMatchesDirectMethod:
+    @pytest.mark.parametrize("bound", list(iproduct(range(5), range(5))))
+    def test_two_loops(self, bound):
+        skeleton = two_loops()
+        assert kgraph_fields(build_kgraph(skeleton, bound)) == ref_build_kgraph(skeleton, bound)
+
+    @pytest.mark.parametrize("bound", [(0, 0), (1, 2), (2, 2)])
+    def test_two_reds(self, bound):
+        skeleton = two_red_skeleton()
+        assert kgraph_fields(build_kgraph(skeleton, bound)) == ref_build_kgraph(skeleton, bound)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            (Edge("e", 1, "v", "v"),),
+            (Edge("e", 1, "u", "v"),),
+            (Edge("b1", 1, "v", "v"), Edge("b2", 1, "v", "v")),
+        ],
+    )
+    @pytest.mark.parametrize("bound", range(5))
+    def test_rank_one(self, edges, bound):
+        objects = tuple(sorted({x for e in edges for x in (e.src, e.dst)}))
+        skeleton = KGraphSkeleton(1, objects, edges, ())
+        assert kgraph_fields(build_kgraph(skeleton, (bound,))) == ref_build_kgraph(
+            skeleton, (bound,)
+        )
+
+    def test_fixtures(self, fix_c, fix_d):
+        for kg in (fix_c, fix_d):
+            assert kgraph_fields(kg) == ref_build_kgraph(kg.skeleton, kg.max_degree)
+
+    def test_inconsistent_squares_messages(self):
+        two_red = two_red_skeleton()
+        skeletons = [
+            KGraphSkeleton(2, ("v",), two_red.edges, (
+                (("b", "r"), ("s", "b")), (("b", "s"), ("r", "b")), (("r", "b"), ("b", "s")),
+            )),
+            KGraphSkeleton(2, ("v",), two_red.edges, ((("b", "r"), ("r", "b")),)),
+        ]
+        for skeleton in skeletons:
+            for bound in [(1, 1), (2, 1)]:
+                with pytest.raises(InconsistentSquares) as want:
+                    ref_build_kgraph(skeleton, bound)
+                with pytest.raises(InconsistentSquares) as got:
+                    build_kgraph(skeleton, bound)
+                assert str(got.value) == str(want.value)
 
 
 class TestFactorize:

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from sgpd.core import SemigroupoidTable, compose, validate_associativity
+from sgpd.core import (
+    AssociativityError,
+    AssociativityViolation,
+    SemigroupoidTable,
+    ValidationReport,
+    compose,
+    validate_associativity,
+)
 from sgpd.markov import build_markov, word_token
 from sgpd.springs import despring, find_springs
 
@@ -73,6 +80,22 @@ class TestDespring:
     def test_bad_mode(self, fix_e):
         with pytest.raises(ValueError):
             despring(fix_e, "coarsest")
+
+    @pytest.mark.parametrize("mode", ["finest", "universal"])
+    def test_non_associative_base_raises(self, mode):
+        # xy = x and yx = y, but xx is missing; s is a spring, so the
+        # extension is built and its validation reports the base's fault
+        table = SemigroupoidTable(
+            frozenset({"x", "y", "s"}),
+            {("x", "y"): "x", ("y", "x"): "y"},
+            frozenset(),
+            frozenset(),
+        )
+        with pytest.raises(AssociativityError) as err:
+            despring(table, mode)
+        violation = AssociativityViolation(("x", "y", "x"), "i", "missing-pair", ("x", "x"))
+        assert err.value.report == ValidationReport(False, violation, 3)
+        assert str(err.value) == str(violation)
 
 
 class TestDespringProperties:
