@@ -42,7 +42,9 @@ class NotACovering(SgpdError):
 
 
 class BoundExceededError(SgpdError):
-    """A minimal covering larger than the requested bound exists."""
+    """Work past a bound: a minimal covering larger than the requested
+    size exists, the covering search passed NODE_CAP, or a Markov
+    truncation would have more than `markov.WORD_CAP` words."""
 
     def __init__(self, message, oversized=None):
         super().__init__(message)

@@ -18,6 +18,12 @@ from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from .core import SemigroupoidTable, SgpdError
+from .covers import BoundExceededError
+
+# admissible words a truncation may have; build_markov counts them first and
+# refuses more (the all-ones 3x3 matrix at length 6, 1,092 words, takes
+# seconds to build, and the build grows faster than the square of the count)
+WORD_CAP = 2_000
 
 
 class EmptyAlphabet(SgpdError):
@@ -98,6 +104,8 @@ def enumerate_words(matrix: Matrix01, max_len: int) -> list[tuple[str, ...]]:
     words: list[tuple[str, ...]] = []
     level = [(a,) for a in matrix.alphabet]
     for _ in range(max_len):
+        if not level:
+            break
         words.extend(level)
         level = [
             w + (b,)
@@ -109,12 +117,17 @@ def enumerate_words(matrix: Matrix01, max_len: int) -> list[tuple[str, ...]]:
 
 
 def build_markov(matrix: Matrix01, max_len: int) -> MarkovTruncation:
-    """Truncated word table; the word count is cross-checked against the
-    transfer-matrix census before anything else runs."""
+    """Truncated word table.  The words are counted by the transfer matrix
+    first: past WORD_CAP this raises BoundExceededError before enumerating,
+    and otherwise the enumeration is cross-checked against the count."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    words = enumerate_words(matrix, max_len)
     expected = _transfer_matrix_count(matrix, max_len)
+    if expected > WORD_CAP:
+        raise BoundExceededError(
+            f"more than {WORD_CAP} admissible words up to length {max_len}"
+        )
+    words = enumerate_words(matrix, max_len)
     if len(words) != expected:
         raise SgpdError(
             f"word census mismatch: enumerated {len(words)}, expected {expected}"
@@ -140,14 +153,24 @@ def build_markov(matrix: Matrix01, max_len: int) -> MarkovTruncation:
 
 
 def _transfer_matrix_count(matrix: Matrix01, max_len: int) -> int:
-    n = len(matrix.alphabet)
-    total = n
-    vec = [1] * n  # words of length 1 ending at each letter
+    """The number of admissible words of length 1..max_len, from powers of
+    the transfer matrix.  The count stops once no word extends, and once it
+    passes WORD_CAP, returning some number above the cap.  A step costs the
+    alphabet size times (1 + the words it counts), so the whole count costs
+    O(alphabet size x WORD_CAP) however large max_len is."""
+    follow = [[j for j, x in enumerate(row) if x] for row in matrix.entries]
+    total = len(follow)
+    ends = [1] * len(follow)  # words of the current length ending at each letter
     for _ in range(max_len - 1):
-        vec = [
-            sum(vec[i] * matrix.entries[i][j] for i in range(n)) for j in range(n)
-        ]
-        total += sum(vec)
+        if total > WORD_CAP or not any(ends):
+            break
+        longer = [0] * len(follow)
+        for i, count in enumerate(ends):
+            if count:
+                for j in follow[i]:
+                    longer[j] += count
+        ends = longer
+        total += sum(ends)
     return total
 
 

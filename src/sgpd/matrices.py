@@ -1,8 +1,16 @@
 """Exact-rational matrices, just big enough for desk-scale checks.
 
-Every verdict downstream is an equality of matrices, so entries are
-`fractions.Fraction` and there are no tolerances anywhere.  Matrices are
-real; the adjoint is the transpose.
+Every verdict downstream is an equality of matrices, so arithmetic is exact
+and there are no tolerances anywhere.  Matrices are real; the adjoint is the
+transpose.
+
+A matrix is stored as integer rows `num` over one positive denominator
+`den`, in canonical form: the gcd of `den` and every entry of `num` is 1.
+The zero matrix and every integer matrix therefore have `den == 1`, and two
+matrices are equal exactly when their `num` and `den` are, so equality and
+hashing are plain tuple comparisons.  Arithmetic runs on the integers; a
+result is reduced (divided by that gcd) only when its denominator is not 1.
+`rows` gives the entries as `fractions.Fraction`s, built on demand.
 
 Matrices are stored dense, but the product skips zeros: each nonzero entry
 of the left factor scales the nonzero entries of one row of the right
@@ -13,97 +21,140 @@ so most of the scalar work a dense product would do is a multiply by zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-_ZERO = Fraction(0)
+_set = object.__setattr__
+
+Num = tuple[tuple[int, ...], ...]
 
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class RatMat:
-    rows: tuple[tuple[Fraction, ...], ...]
+def _new(num: Num, den: int) -> "RatMat":
+    """A matrix from integer rows over a positive denominator, reduced to
+    the canonical form."""
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+    mat = object.__new__(RatMat)
+    _set(mat, "num", num)
+    _set(mat, "den", den)
+    return mat
 
-    def __post_init__(self):
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
+
+class RatMat:
+    """An immutable exact-rational matrix: `num / den` in canonical form."""
+
+    __slots__ = ("num", "den")
+    num: Num
+    den: int
+
+    def __init__(self, rows: Iterable[Sequence]):
+        rows = tuple(tuple(_frac(x) for x in row) for row in rows)
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise ValueError("ragged matrix")
+        # the lcm of the entries' denominators is already canonical: for
+        # each prime p of it, an entry whose denominator holds p's highest
+        # power has a numerator prime to p, scaled by a factor prime to p
+        den = lcm(*(x.denominator for row in rows for x in row))
+        _set(self, "num", tuple(
+            tuple(x.numerator * (den // x.denominator) for x in row) for row in rows
+        ))
+        _set(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RatMat is immutable: cannot set {name!r}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "RatMat":
-        return cls(tuple(tuple(_frac(x) for x in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "RatMat":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
+        return _new(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @classmethod
     def zeros(cls, n: int, m: int | None = None) -> "RatMat":
         m = n if m is None else m
-        return cls(tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n)))
+        return _new(((0,) * m,) * n, 1)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
+        return (len(self.num), len(self.num[0]) if self.num else 0)
 
     @property
     def T(self) -> "RatMat":
-        n, m = self.shape
-        return RatMat(tuple(tuple(self.rows[i][j] for i in range(n)) for j in range(m)))
+        return _new(tuple(zip(*self.num)), self.den)
 
     def _match(self, other: "RatMat") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def __add__(self, other: "RatMat") -> "RatMat":
+    def _plus(self, other: "RatMat", sign: int) -> "RatMat":
+        """self + sign * other over the lcm of the denominators."""
         self._match(other)
-        return RatMat(
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, sign * (self.den // g)
+        return _new(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
+                tuple(x * a + y * b for x, y in zip(ra, rb))
+                for ra, rb in zip(self.num, other.num)
+            ),
+            self.den * a,
         )
 
+    def __add__(self, other: "RatMat") -> "RatMat":
+        return self._plus(other, 1)
+
     def __sub__(self, other: "RatMat") -> "RatMat":
-        self._match(other)
-        return RatMat(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self._plus(other, -1)
 
     def __matmul__(self, other: "RatMat") -> "RatMat":
         n, k = self.shape
         k2, m = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other.num]
         out = []
-        for row in self.rows:
-            acc = [_ZERO] * m
+        for row in self.num:
+            acc = [0] * m
             for a, entries in zip(row, nonzero):
                 if a:
                     for j, b in entries:
                         acc[j] += a * b
             out.append(tuple(acc))
-        return RatMat(tuple(out))
+        return _new(tuple(out), self.den * other.den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     def is_projection(self) -> bool:
         return self == self.T and self @ self == self
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RatMat:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RatMat(rows={self.rows!r})"
 
     def __str__(self) -> str:
         return "[" + ", ".join(
@@ -123,8 +174,12 @@ def hstack(mats: Sequence[RatMat]) -> RatMat:
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats):
         raise ValueError("hstack needs equal row counts")
-    return RatMat(
-        tuple(tuple(x for m in mats for x in m.rows[i]) for i in range(n))
+    den = lcm(*(m.den for m in mats))
+    return _new(
+        tuple(
+            tuple(x * (den // m.den) for m in mats for x in m.num[i]) for i in range(n)
+        ),
+        den,
     )
 
 

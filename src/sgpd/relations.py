@@ -18,6 +18,12 @@ projection terms.  Three presentation styles are emitted:
 Presentations carry no analytic content: cross-checking evaluates every
 relation of two presentations under one concrete representation and
 reports violations on both sides.
+
+Each emitter call keeps one map from the clause symbols S_f, S_f*, Q_f and
+P_f to their terms, so each of those terms is built once per call and
+shared by every relation that uses it; nothing is cached across calls.
+Every term computes its hash once, when it is built, so the memo that
+evaluates a presentation finds a shared sub-term in O(1).
 """
 
 from __future__ import annotations
@@ -45,49 +51,68 @@ class SourcesPresent(SgpdError):
 
 
 class Term:
-    pass
+    """A term of a relation: a frozen dataclass (see `_term`) that computes
+    its hash from its class and fields once, when they are set, so hashing
+    it never re-hashes its sub-terms."""
+
+    def __post_init__(self):
+        # only the dataclass fields are in vars(self) at this point
+        object.__setattr__(self, "_hash", hash((self.__class__, *vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
+def _term(cls):
+    """A frozen dataclass Term keeping the hash computed by Term, which
+    the dataclass decorator would otherwise replace with one over the
+    fields."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Term.__hash__
+    return cls
+
+
+@_term
 class Gen(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_term
 class Adj(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_term
 class One(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class Mul(Term):
     factors: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@_term
 class Add(Term):
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@_term
 class Compl(Term):
     term: Term
 
     def __post_init__(self):
         if not certified_projection(self.term):
             raise ValueError("complement of an uncertified projection term")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@_term
 class Join(Term):
     terms: tuple[Term, ...]
 
@@ -95,14 +120,33 @@ class Join(Term):
         for t in self.terms:
             if not certified_projection(t):
                 raise ValueError("join over an uncertified projection term")
+        super().__post_init__()
+
+
+class _Symbols(dict):
+    """The terms of the clause symbols of one emitter call, each built once:
+    ("S", f) is (gen f), ("S*", f) is (adj f), and ("Q", f) and ("P", f) are
+    the initial and final projection products of those two."""
+
+    def __missing__(self, key: tuple[str, str]) -> Term:
+        kind, f = key
+        if kind == "S":
+            term = Gen(f)
+        elif kind == "S*":
+            term = Adj(f)
+        else:
+            s, t = self["S", f], self["S*", f]
+            term = Mul((t, s)) if kind == "Q" else Mul((s, t))
+        self[key] = term
+        return term
 
 
 def q_term(f: str) -> Term:
-    return Mul((Adj(f), Gen(f)))
+    return _Symbols()["Q", f]
 
 
 def p_term(f: str) -> Term:
-    return Mul((Gen(f), Adj(f)))
+    return _Symbols()["P", f]
 
 
 def certified_projection(term: Term) -> bool:
@@ -227,14 +271,11 @@ def _finish(style: str, generators, relations) -> Presentation:
     return Presentation(style, tuple(sorted(generators)), ordered)
 
 
-_SYMBOL_TERM = {"S": Gen, "S*": Adj, "Q": q_term, "P": p_term}
-
-
-def _term(side: Side) -> Term:
+def _side(side: Side, sym: _Symbols) -> Term:
     """The term of an axiom clause side; a single symbol stays bare."""
     if side is None:
         return Zero()
-    terms = tuple(_SYMBOL_TERM[kind](f) for kind, f in side)
+    terms = tuple(sym[s] for s in side)
     return terms[0] if len(terms) == 1 else Mul(terms)
 
 
@@ -248,17 +289,19 @@ def emit_generic(
     covering relation per minimal covering of each selector family, the
     same clauses and family scope the checkers enforce.  tight=False is the
     Toeplitz presentation."""
+    sym = _Symbols()
     rels = [
-        Relation(family, _term(lhs), _term(rhs))
+        Relation(family, _side(lhs, sym), _side(rhs, sym))
         for _, family, _, lhs, rhs in axiom_clauses(table)
     ]
     if tight:
         for required, forbidden, coverings in selector_families(table, max_fg, max_cover):
-            factors = [q_term(f) for f in required] + [Compl(q_term(g)) for g in forbidden]
+            factors = [sym["Q", f] for f in required]
+            factors += [Compl(sym["Q", g]) for g in forbidden]
             rhs = Mul(tuple(factors))
             note = "required=" + ",".join(required) + " forbidden=" + ",".join(forbidden)
             for spec in coverings:
-                lhs = Join(tuple(p_term(h) for h in sorted(spec.candidate)))
+                lhs = Join(tuple(sym["P", h] for h in sorted(spec.candidate)))
                 rels.append(Relation("tight", lhs, rhs, note))
     return _finish("tight" if tight else "toeplitz", table.elements, rels)
 
@@ -274,42 +317,40 @@ def emit_cuntz_krieger(matrix: Matrix01) -> Presentation:
     tying each selector product of initial projections to the final
     projections of the letters it admits."""
     letters = list(matrix.alphabet)
+    sym = _Symbols()
     rels: list[Relation] = []
     for i in letters:
-        rels.append(Relation("tck1", Mul((Gen(i), Adj(i), Gen(i))), Gen(i)))
+        s = sym["S", i]
+        rels.append(Relation("tck1", Mul((s, sym["S*", i], s)), s))
     for i, a in enumerate(letters):
         for b in letters[i + 1 :]:
-            rels.append(
-                Relation("tck1", Mul((q_term(a), q_term(b))), Mul((q_term(b), q_term(a))))
-            )
-            rels.append(
-                Relation("tck1", Mul((p_term(a), p_term(b))), Mul((p_term(b), p_term(a))))
-            )
+            for kind in ("Q", "P"):
+                x, y = sym[kind, a], sym[kind, b]
+                rels.append(Relation("tck1", Mul((x, y)), Mul((y, x))))
     for a in letters:
         for b in letters:
-            rels.append(
-                Relation("tck1", Mul((q_term(a), p_term(b))), Mul((p_term(b), q_term(a))))
-            )
+            q, p = sym["Q", a], sym["P", b]
+            rels.append(Relation("tck1", Mul((q, p)), Mul((p, q))))
     for a in letters:
         for b in letters:
             if a != b:
-                rels.append(Relation("tck2", Mul((Adj(a), Gen(b))), Zero()))
+                rels.append(Relation("tck2", Mul((sym["S*", a], sym["S", b])), Zero()))
     for a in letters:
         for b in letters:
-            lhs = Mul((q_term(a), p_term(b)))
-            rhs = p_term(b) if matrix.entry(a, b) == 1 else Zero()
+            lhs = Mul((sym["Q", a], sym["P", b]))
+            rhs = sym["P", b] if matrix.entry(a, b) == 1 else Zero()
             rels.append(Relation("tck3", lhs, rhs))
     for required in _subsets(letters):
         for forbidden in _subsets(letters):
-            lhs_factors: list[Term] = [q_term(x) for x in sorted(required)]
-            lhs_factors.extend(Compl(q_term(y)) for y in sorted(forbidden))
+            lhs_factors: list[Term] = [sym["Q", x] for x in sorted(required)]
+            lhs_factors.extend(Compl(sym["Q", y]) for y in sorted(forbidden))
             lhs = Mul(tuple(lhs_factors)) if lhs_factors else One()
             admitted = [
                 j
                 for j in letters
                 if follow_weight(matrix, sorted(required), sorted(forbidden), j)
             ]
-            rhs = Add(tuple(p_term(j) for j in admitted))
+            rhs = Add(tuple(sym["P", j] for j in admitted))
             note = (
                 "required="
                 + ",".join(sorted(required))
@@ -325,31 +366,31 @@ def emit_kumjian_pask(kg: KGraph, max_cover: int = 6) -> Presentation:
     plus covering relations per object derived from minimal coverings."""
     if rfns_check(kg) is not True:
         raise SourcesPresent("degree slices are not all nonempty")
+    sym = _Symbols()
     rels: list[Relation] = []
     objects = sorted(kg.objects)
     morphisms = sorted(kg.normal_form)
     for v in objects:
-        rels.append(Relation("kp1", Gen(v), Adj(v)))
-        rels.append(Relation("kp1", Mul((Gen(v), Gen(v))), Gen(v)))
+        rels.append(Relation("kp1", sym["S", v], sym["S*", v]))
+        rels.append(Relation("kp1", Mul((sym["S", v], sym["S", v])), sym["S", v]))
     for u, v in combinations(objects, 2):
-        rels.append(Relation("kp1", Mul((Gen(u), Gen(v))), Zero()))
-        rels.append(Relation("kp1", Mul((Gen(v), Gen(u))), Zero()))
+        rels.append(Relation("kp1", Mul((sym["S", u], sym["S", v])), Zero()))
+        rels.append(Relation("kp1", Mul((sym["S", v], sym["S", u])), Zero()))
     for (f, g) in sorted(kg.table.composable):
-        rels.append(
-            Relation("kp2", Mul((Gen(f), Gen(g))), Gen(kg.table.product[(f, g)]))
-        )
+        lhs = Mul((sym["S", f], sym["S", g]))
+        rels.append(Relation("kp2", lhs, sym["S", kg.table.product[(f, g)]]))
     for f in morphisms:
-        rels.append(Relation("kp3", Mul((Adj(f), Gen(f))), Gen(kg.source[f])))
+        rels.append(Relation("kp3", sym["Q", f], sym["S", kg.source[f]]))
     for (v, n), members in kg.slices.items():
-        terms = Add(tuple(p_term(f) for f in sorted(members)))
-        rels.append(Relation("kp4", Gen(v), terms, note=f"object={v} degree={n}"))
+        terms = Add(tuple(sym["P", f] for f in sorted(members)))
+        rels.append(Relation("kp4", sym["S", v], terms, note=f"object={v} degree={n}"))
     for v in objects:
         for spec in target_coverings(kg.table, d_set(kg.table, v), max_cover):
             rels.append(
                 Relation(
                     "kp-cover",
-                    Gen(v),
-                    Join(tuple(p_term(h) for h in sorted(spec.candidate))),
+                    sym["S", v],
+                    Join(tuple(sym["P", h] for h in sorted(spec.candidate))),
                     note=f"object={v}",
                 )
             )

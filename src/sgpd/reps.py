@@ -46,7 +46,7 @@ from itertools import chain, combinations
 from operator import matmul
 from typing import Iterator, Mapping
 
-from .core import SemigroupoidTable, SgpdError, d_set, intersects
+from .core import SemigroupoidTable, SgpdError, d_set
 from .covers import CoverSpec, is_partition, selector_families, target_coverings
 from .kgraph import KGraph
 from .matrices import RatMat, hstack, join, rank
@@ -253,11 +253,13 @@ def _commute_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
 
 
 def _projection_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
-    """Disjoint, domination and annihilation clauses."""
+    """Disjoint, domination and annihilation clauses.  f and g are disjoint
+    when they have no common multiple (`core.intersects` is None)."""
     elements = sorted(table.elements)
+    multiples = table.multiples
     for i, f in enumerate(elements):
         for g in elements[i + 1 :]:
-            if intersects(table, f, g) is None:
+            if multiples[f].isdisjoint(multiples[g]):
                 yield "disjoint", "disjoint", (f, g), (("P", f), ("P", g)), None
     for (f, g) in sorted(table.composable):
         yield "domination", "domination", (f, g), (("Q", f), ("P", g)), (("P", g),)

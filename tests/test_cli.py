@@ -93,6 +93,21 @@ class TestExitCodes:
         assert code == 2 and text.startswith("error:")
 
     @pytest.mark.parametrize(
+        "rows, maxlen",
+        [([[1, 1, 1]] * 3, "7"), ([[1, 1], [1, 0]], "1000000000"), ([[1]], "1000000000")],
+    )
+    def test_maxlen_over_word_cap(self, tmp_path, rows, maxlen):
+        # refused from the transfer-matrix count, before any word is built
+        mat = tmp_path / "big.mat01"
+        mat.write_text(render_mat01(Matrix01.from_rows(rows)))
+        code, text = run(["markov", "--matrix", str(mat), "--maxlen", maxlen])
+        assert (code, text) == (
+            1,
+            f"bound exceeded: more than {sgpd.markov.WORD_CAP} admissible words "
+            f"up to length {maxlen}\n",
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["rep", "check", "{table}", "{rep}", "--tight", "--max-fg", "-1"],

@@ -3,8 +3,9 @@ from itertools import product as iproduct
 
 import pytest
 
+import sgpd.markov
 from sgpd.core import d_set, intersects, validate_associativity
-from sgpd.covers import CoverSpec, prune_covering
+from sgpd.covers import BoundExceededError, CoverSpec, prune_covering
 from sgpd.markov import (
     InadmissibleWord,
     Matrix01,
@@ -20,6 +21,7 @@ from sgpd.markov import (
     word_disjoint,
     word_token,
     words_from,
+    _transfer_matrix_count,
 )
 from sgpd.springs import find_springs
 
@@ -58,6 +60,42 @@ class TestBuild:
         matrix = Matrix01.from_rows([[1, 1], [1, 1]], alphabet=("ab", "c"))
         trunc = build_markov(matrix, 2)
         assert "ab.c" in trunc.table.elements
+
+
+class TestWordCap:
+    def test_count_equals_enumeration_below_cap(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            matrix = random_matrix01(rng, rng.randint(1, 5))
+            max_len = rng.randint(1, 7)
+            words = enumerate_words(matrix, max_len)
+            if len(words) <= sgpd.markov.WORD_CAP:
+                assert _transfer_matrix_count(matrix, max_len) == len(words)
+
+    def test_count_passes_cap_without_enumerating(self):
+        ones = Matrix01.from_rows([[1, 1, 1]] * 3)
+        assert sgpd.markov.WORD_CAP < _transfer_matrix_count(ones, 7) <= 3279
+        # counting stops at the cap, so a huge bound costs nothing
+        loop = Matrix01.from_rows([[1]])
+        for matrix in (ones, loop):
+            assert _transfer_matrix_count(matrix, 10**9) > sgpd.markov.WORD_CAP
+
+    def test_count_stops_when_no_word_extends(self):
+        nilpotent = Matrix01.from_rows([[0, 1], [0, 0]])
+        assert _transfer_matrix_count(nilpotent, 10**9) == 3
+        assert len(build_markov(nilpotent, 10**9).table.elements) == 3
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        full2 = Matrix01.from_rows([[1, 1], [1, 1]])  # 62 words up to length 5
+        monkeypatch.setattr(sgpd.markov, "WORD_CAP", 62)
+        assert len(build_markov(full2, 5).table.elements) == 62
+        monkeypatch.setattr(sgpd.markov, "WORD_CAP", 61)
+        with pytest.raises(BoundExceededError, match="more than 61 admissible words"):
+            build_markov(full2, 5)
+
+    def test_ladder_cells_are_under_the_cap(self):
+        ones = Matrix01.from_rows([[1, 1, 1]] * 3)
+        assert _transfer_matrix_count(ones, 6) == 1092 <= sgpd.markov.WORD_CAP
 
 
 class TestWordDisjoint:

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from sgpd.kgraph import Edge, KGraphSkeleton, build_kgraph
@@ -5,11 +8,15 @@ from sgpd.markov import Matrix01, build_markov
 from sgpd.matrices import RatMat
 from sgpd.relations import (
     Add,
+    Adj,
+    Compl,
     Gen,
     IncompatibleGenerators,
     Join,
     Mul,
     One,
+    Presentation,
+    Relation,
     SourcesPresent,
     Zero,
     cross_check,
@@ -211,3 +218,232 @@ class TestKPSoundness:
                 assert kp_ok
             if kp_ok:
                 assert category_tightness(rep, kg).tight
+
+
+# ---- evaluation with denominators against a plain-Fraction evaluator
+
+
+def _identity(dim):
+    return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+
+
+def _mul(a, b):
+    return [[sum((x * b[t][j] for t, x in enumerate(row)), Fraction(0))
+             for j in range(len(b[0]))] for row in a]
+
+
+def _add(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_eval(term, lookup, dim):
+    """The value of a term as a list of Fraction rows, by the definitions,
+    with no memo and no shared state."""
+    zero = [[Fraction(0)] * dim for _ in range(dim)]
+    if isinstance(term, Gen):
+        return lookup[term.name]
+    if isinstance(term, Adj):
+        return [list(col) for col in zip(*lookup[term.name])]
+    if isinstance(term, One):
+        return _identity(dim)
+    if isinstance(term, Zero):
+        return zero
+    if isinstance(term, Mul):
+        out = _identity(dim)
+        for t in term.factors:
+            out = _mul(out, ref_eval(t, lookup, dim))
+        return out
+    if isinstance(term, Add):
+        out = zero
+        for t in term.terms:
+            out = _add(out, ref_eval(t, lookup, dim))
+        return out
+    if isinstance(term, Join):
+        out = zero
+        for t in term.terms:
+            p = ref_eval(t, lookup, dim)
+            out = _add(_add(out, p), _mul(out, p), -1)
+        return out
+    if isinstance(term, Compl):
+        return _add(_identity(dim), ref_eval(term.term, lookup, dim), -1)
+    raise TypeError(term)
+
+
+def ref_violations(pres, rep):
+    lookup = {g: [list(r) for r in rep.assign[g].rows] for g in pres.generators}
+    return tuple(
+        r for r in pres.relations
+        if ref_eval(r.lhs, lookup, rep.dim) != ref_eval(r.rhs, lookup, rep.dim)
+    )
+
+
+HALF = Fraction(1, 2)
+RANK_ONE = RatMat.from_rows([[HALF, HALF], [HALF, HALF]])  # projection onto (1, 1)
+
+
+def _random_fraction_rep(table, seed):
+    """Each element a 2x2 matrix of small signed fractions, or the rank-one
+    projection, or zero."""
+    rng = random.Random(seed)
+    entries = [Fraction(n, d) for n in range(-2, 3) for d in (1, 2, 3, 4)]
+    assign = {}
+    for f in sorted(table.elements):
+        kind = rng.randrange(4)
+        if kind == 0:
+            assign[f] = RANK_ONE
+        elif kind == 1:
+            assign[f] = RatMat.zeros(2)
+        else:
+            assign[f] = RatMat.from_rows([[rng.choice(entries) for _ in range(2)]
+                                          for _ in range(2)])
+    return Representation(table, 2, assign)
+
+
+def _rotation_rep(kg, powers):
+    """Each morphism to a power of the rational rotation R = [[3/5, -4/5],
+    [4/5, 3/5]], the sum of `powers[edge]` over its edges: a unitary
+    representation whose products mix denominators 1, 5, 25, ..."""
+    rotation = RatMat.from_rows([[Fraction(3, 5), Fraction(-4, 5)],
+                                 [Fraction(4, 5), Fraction(3, 5)]])
+    assign = {}
+    for token, word in kg.normal_form.items():
+        m = RatMat.identity(2)
+        for _ in range(sum(powers[e] for e in word)):
+            m = m @ rotation
+        assign[token] = m
+    return Representation(kg.table, 2, assign)
+
+
+def _cases(fix_c, fix_d, golden):
+    """(presentation, representation) pairs whose matrices have non-unit
+    denominators: the rank-one projection everywhere and rational
+    rotations (which satisfy them), and seeded signed fractions (which
+    violate many relations)."""
+    golden3 = build_markov(golden, 3).table
+    presentations = [
+        (emit_generic(fix_c.table, tight=True), fix_c.table),
+        (emit_generic(golden3, tight=True), golden3),
+        (emit_cuntz_krieger(golden), golden3),
+        (emit_kumjian_pask(fix_c), fix_c.table),
+        (emit_kumjian_pask(fix_d), fix_d.table),
+        (emit_generic(fix_d.table, tight=False), fix_d.table),
+    ]
+    for pres, table in presentations:
+        yield pres, Representation(table, 2, {f: RANK_ONE for f in table.elements})
+        for seed in range(2):
+            yield pres, _random_fraction_rep(table, seed)
+    for pres, table in presentations[3:]:
+        kg = fix_c if table is fix_c.table else fix_d
+        yield pres, _rotation_rep(kg, {"e": 1, "b": 1, "r": 2})
+
+
+class TestEvaluateWithDenominators:
+    def test_rank_one_projection_and_rotations_satisfy_the_cycle(self, fix_c, fix_d):
+        generic, kp = emit_generic(fix_c.table), emit_kumjian_pask(fix_c)
+        rep = Representation(fix_c.table, 2, {f: RANK_ONE for f in fix_c.table.elements})
+        assert bool(cross_check(generic, kp, rep))
+        assert bool(cross_check(generic, kp, _rotation_rep(fix_c, {"e": 1})))
+        rep = _rotation_rep(fix_d, {"b": 1, "r": 2})
+        assert bool(cross_check(emit_generic(fix_d.table), emit_kumjian_pask(fix_d), rep))
+
+    def test_violations_match_fraction_evaluator(self, fix_c, fix_d, golden):
+        seen = 0
+        for pres, rep in _cases(fix_c, fix_d, golden):
+            want = ref_violations(pres, rep)
+            assert evaluate(pres, rep) == want
+            seen += len(want)
+        assert seen > 100  # the random representations violate plenty
+
+    def test_cross_check_matches_fraction_evaluator(self, fix_c, golden):
+        golden3 = build_markov(golden, 3).table
+        generic = emit_generic(golden3, tight=True)
+        ck = emit_cuntz_krieger(golden)
+        rep = _random_fraction_rep(golden3, 2)
+        report = cross_check(generic, ck, rep)
+        assert report.a_violations == ref_violations(generic, rep)
+        assert report.b_violations == ref_violations(ck, rep)
+
+
+# ---- shared terms render and compare as fresh ones
+
+
+def fresh(term):
+    """An equal term with no sub-term shared with any other."""
+    if isinstance(term, (Gen, Adj)):
+        return type(term)(term.name)
+    if isinstance(term, (One, Zero)):
+        return type(term)()
+    if isinstance(term, Mul):
+        return Mul(tuple(fresh(t) for t in term.factors))
+    if isinstance(term, Compl):
+        return Compl(fresh(term.term))
+    return type(term)(tuple(fresh(t) for t in term.terms))
+
+
+def subterms(term):
+    yield term
+    for child in getattr(term, "factors", None) or getattr(term, "terms", None) or ():
+        yield from subterms(child)
+    if isinstance(term, Compl):
+        yield from subterms(term.term)
+
+
+def _presentations(fix_c, fix_d, golden):
+    golden3 = build_markov(golden, 3).table
+    three = Matrix01.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    return [
+        emit_generic(fix_c.table, tight=True),
+        emit_generic(golden3, tight=True),
+        emit_generic(fix_d.table, tight=False),
+        emit_cuntz_krieger(golden),
+        emit_cuntz_krieger(three),
+        emit_kumjian_pask(fix_c),
+        emit_kumjian_pask(fix_d),
+    ]
+
+
+class TestSharedTerms:
+    def test_render_equals_fresh_terms(self, fix_c, fix_d, golden):
+        for pres in _presentations(fix_c, fix_d, golden):
+            rebuilt = Presentation(pres.style, pres.generators, tuple(
+                Relation(r.family, fresh(r.lhs), fresh(r.rhs), r.note)
+                for r in pres.relations
+            ))
+            assert rebuilt.render() == pres.render()
+            assert rebuilt == pres
+            assert [hash(r.lhs) for r in rebuilt.relations] == [
+                hash(r.lhs) for r in pres.relations
+            ]
+
+    def test_symbols_built_once_per_presentation(self, fix_c, fix_d, golden):
+        def is_symbol(t):
+            """S_f, S_f*, Q_f or P_f."""
+            if isinstance(t, (Gen, Adj)):
+                return True
+            if isinstance(t, Mul) and len(t.factors) == 2:
+                a, b = t.factors
+                return isinstance(a, (Gen, Adj)) and t in (q_term(a.name), p_term(a.name))
+            return False
+
+        for pres in _presentations(fix_c, fix_d, golden):
+            ids = {}
+            for r in pres.relations:
+                for side in (r.lhs, r.rhs):
+                    for t in subterms(side):
+                        if is_symbol(t):
+                            ids.setdefault(t, set()).add(id(t))
+            assert any(isinstance(t, Mul) for t in ids)
+            assert all(len(s) == 1 for s in ids.values())
+
+    def test_hash_is_of_the_fields(self, fix_c, fix_d, golden):
+        distinct = set()
+        for pres in _presentations(fix_c, fix_d, golden):
+            for r in pres.relations:
+                for side in (r.lhs, r.rhs):
+                    distinct.update(subterms(side))
+        for t in distinct:
+            assert hash(t) == hash(fresh(t))
+        # distinct terms hash apart (a hash taken before the fields are
+        # set would make every term of a class collide)
+        assert len({hash(t) for t in distinct}) == len(distinct) > 100
+        assert hash(Gen("f")) != hash(Adj("f")) != hash(Gen("g"))
