@@ -126,8 +126,9 @@ class SemigroupoidTable:
     eagerly validated construction; the raw constructor only checks
     well-formedness so that validators can be pointed at broken tables.
 
-    Tables are immutable after construction: followers and multiples are
-    computed once per table, on first use, and every query reads them.
+    Tables are immutable after construction: product rows, followers and
+    multiples are computed once per table, on first use, and every query
+    reads them.
     """
 
     elements: frozenset[str]
@@ -193,6 +194,14 @@ class SemigroupoidTable:
         return self._grouped(chain(self.composable, self.artifact_pairs))
 
     @cached_property
+    def rows(self) -> dict[str, dict[str, str]]:
+        """f -> the product row of f: g -> fg for every composable (f, g)."""
+        out: dict[str, dict[str, str]] = {f: {} for f in self.elements}
+        for (f, g), fg in self.product.items():
+            out[f][g] = fg
+        return out
+
+    @cached_property
     def multiples(self) -> dict[str, frozenset[str]]:
         """f -> f itself and every product fh."""
         products = self._grouped((f, m) for (f, _), m in self.product.items())
@@ -209,26 +218,28 @@ def validate_associativity(table: SemigroupoidTable) -> ValidationReport:
     (f,gh), in that order and skipping any whose product factor does not
     exist, the first that is neither composable nor artifact is a
     missing-pair witness; otherwise, when both bracketings are composable,
-    (fg)h and f(gh) must be equal.
+    (fg)h and f(gh) must be equal.  Products are read from the table's
+    product rows.
     """
-    prod = table.product
+    rows = table.rows
     ok = table.full_followers
-    followers = {e: sorted(gs) for e, gs in table.followers.items()}
+    followers = {e: sorted(row) for e, row in rows.items()}
     pairs = sorted(table.composable)
     preceders: dict[str, list[str]] = {e: [] for e in table.elements}
     for f, g in pairs:
         preceders[g].append(f)
     cases = (
         ("i", ((f, g, h) for f, g in pairs for h in followers[g])),
-        ("ii", ((f, g, h) for f, g in pairs for h in followers[prod[f, g]])),
-        ("iii", ((f, g, h) for g, h in pairs for f in preceders[prod[g, h]])),
+        ("ii", ((f, g, h) for f, g in pairs for h in followers[rows[f][g]])),
+        ("iii", ((f, g, h) for g, h in pairs for f in preceders[rows[g][h]])),
     )
 
     checked = 0
     for case, triples in cases:
         for f, g, h in triples:
             checked += 1
-            fg, gh = prod.get((f, g)), prod.get((g, h))
+            row = rows[f]
+            fg, gh = row.get(g), rows[g].get(h)
             missing = (
                 (f, g) if g not in ok[f]
                 else (g, h) if h not in ok[g]
@@ -239,7 +250,8 @@ def validate_associativity(table: SemigroupoidTable) -> ValidationReport:
             if missing:
                 violation = AssociativityViolation((f, g, h), case, "missing-pair", missing)
                 return ValidationReport(False, violation, checked)
-            lhs, rhs = prod.get((fg, h)), prod.get((f, gh))
+            lhs = None if fg is None else rows[fg].get(h)
+            rhs = None if gh is None else row.get(gh)
             if lhs is not None and rhs is not None and lhs != rhs:
                 violation = AssociativityViolation(
                     (f, g, h), case, "unequal-products", products=(lhs, rhs)

@@ -43,8 +43,10 @@ class NotACovering(SgpdError):
 
 class BoundExceededError(SgpdError):
     """Work past a bound: a minimal covering larger than the requested
-    size exists, the covering search passed NODE_CAP, or a Markov
-    truncation would have more than `markov.WORD_CAP` words."""
+    size exists, the covering search passed NODE_CAP, a Markov truncation
+    would have more than `markov.WORD_CAP` words, or a k-graph truncation
+    more than `kgraph.WORD_CAP` edge words.  Both word caps are checked
+    on a count, before any word is built."""
 
     def __init__(self, message, oversized=None):
         super().__init__(message)

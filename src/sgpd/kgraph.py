@@ -10,7 +10,9 @@ validated exhaustively within the truncation rather than assumed.
 
 Composable pairs whose degrees sum past the bound become artifact pairs of
 the underlying table, and morphisms sitting on the bound in some colour
-are flagged boundary, mirroring the Markov truncation conventions.
+are flagged boundary, mirroring the Markov truncation conventions.  The
+edge words are counted before they are built, and a truncation with more
+than WORD_CAP of them is refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from itertools import product as iproduct
 from typing import Iterator, Mapping, Sequence
 
 from .core import SemigroupoidTable, SgpdError, UnionFind
-from .covers import CoverSpec, IntersectingPair, Uncovered, is_partition
+from .covers import BoundExceededError, CoverSpec, IntersectingPair, Uncovered, is_partition
+
+# nonempty edge words a truncation may have; build_kgraph counts them first
+# and refuses more (the two-loop 2-graph has 48,618 words at degree (8,8),
+# built in about 2 s on a 2-CPU host, and 705,430 at (10,10))
+WORD_CAP = 50_000
 
 
 class InconsistentSquares(SgpdError):
@@ -77,6 +84,14 @@ class KGraphSkeleton:
     def _edge_by_name(self) -> dict[str, Edge]:
         return {e.name: e for e in self.edges}
 
+    @cached_property
+    def edges_into(self) -> dict[str, list[Edge]]:
+        """object -> the edges whose range it is, in skeleton order."""
+        out: dict[str, list[Edge]] = {v: [] for v in self.objects}
+        for e in self.edges:
+            out[e.dst].append(e)
+        return out
+
     def edge(self, name: str) -> Edge:
         try:
             return self._edge_by_name[name]
@@ -111,6 +126,29 @@ def _splits(
         if degrees[h] == _vec_sub(degrees[f], degrees[g]):
             out.setdefault((f, degrees[g]), []).append((g, h))
     return out
+
+
+def _word_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
+    """The number of nonempty composable edge words of degree within
+    `max_degree`, counted length by length over (source, degree) states.
+    The count stops once no word extends, and once it passes WORD_CAP,
+    returning some number above the cap.  Each length adds at least one
+    word, so the count takes at most WORD_CAP + 1 steps however large the
+    bound is."""
+    into = skeleton.edges_into
+    ends = {(v, (0,) * skeleton.k): 1 for v in skeleton.objects}  # empty words
+    total = 0
+    while ends and total <= WORD_CAP:
+        longer: dict[tuple[str, tuple[int, ...]], int] = {}
+        for (s, deg), count in ends.items():
+            for e in into[s]:
+                c = e.color - 1
+                if deg[c] < max_degree[c]:
+                    state = (e.src, deg[:c] + (deg[c] + 1,) + deg[c + 1 :])
+                    longer[state] = longer.get(state, 0) + count
+        ends = longer
+        total += sum(ends.values())
+    return total
 
 
 def _validate_squares(skeleton: KGraphSkeleton) -> dict[tuple[str, str], tuple[str, str]]:
@@ -176,11 +214,20 @@ def build_kgraph(
     skeleton: KGraphSkeleton, max_degree: Sequence[int]
 ) -> KGraph:
     """Materialise all morphisms of degree <= max_degree and validate the
-    defining identities (degree additivity, unique factorisation)."""
+    defining identities (degree additivity, unique factorisation).  The
+    edge words are counted first: past WORD_CAP this raises
+    BoundExceededError before building any, and otherwise the build is
+    cross-checked against the count."""
     max_degree = tuple(int(x) for x in max_degree)
     if len(max_degree) != skeleton.k or any(x < 0 for x in max_degree):
         raise ValueError("max_degree must be a nonnegative vector of length k")
     swap = _validate_squares(skeleton)
+    into = skeleton.edges_into
+    expected = _word_count(skeleton, max_degree)
+    if expected > WORD_CAP:
+        raise BoundExceededError(
+            f"more than {WORD_CAP} edge words within degree {max_degree}"
+        )
 
     # all nonempty composable edge words of bounded degree, each with its
     # (range, source, degree); identity morphisms are handled separately (an
@@ -191,30 +238,34 @@ def build_kgraph(
     while frontier:
         new_frontier = []
         for word, (r, s, deg) in frontier:
-            for e in skeleton.edges:
+            for e in into[s]:
                 c = e.color - 1
-                if e.dst != s or deg[c] == max_degree[c]:
+                if deg[c] == max_degree[c]:
                     continue
                 new_word = word + (e.name,)
                 words[new_word] = (r, e.src, deg[:c] + (deg[c] + 1,) + deg[c + 1 :])
                 new_frontier.append((new_word, words[new_word]))
         frontier = new_frontier
+    if len(words) != expected:
+        raise SgpdError(f"word census mismatch: enumerated {len(words)}, expected {expected}")
+    ordered = sorted(words)
 
     # square-move closure
     uf = UnionFind(words)
-    for word in sorted(words):
+    for word in ordered:
         for i in range(len(word) - 1):
-            pair = (word[i], word[i + 1])
-            if pair in swap:
-                x, y = swap[pair]
-                uf.union(word, word[:i] + (x, y) + word[i + 2 :])
+            mate = swap.get(word[i : i + 2])
+            if mate is not None:
+                uf.union(word, word[:i] + mate + word[i + 2 :])
 
     classes: dict[Path, list[Path]] = {}
-    for w in sorted(words):
+    for w in ordered:
         classes.setdefault(uf.find(w), []).append(w)
 
+    color = {e.name: e.color for e in skeleton.edges}
+
     def is_sorted(word: Path) -> bool:
-        cols = [skeleton.edge(n).color for n in word]
+        cols = [color[n] for n in word]
         return all(a <= b for a, b in zip(cols, cols[1:]))
 
     normal_form: dict[str, Path] = {}
@@ -253,12 +304,13 @@ def build_kgraph(
     product: dict[tuple[str, str], str] = {}
     artifacts: set[tuple[str, str]] = set()
     tokens = sorted(normal_form)
+    ranged: dict[str, list[str]] = {v: [] for v in skeleton.objects}
+    for g in tokens:
+        ranged[range_[g]].append(g)
     for f in tokens:
-        for g in tokens:
-            if source[f] != range_[g]:
-                continue
-            total = _vec_add(degree[f], degree[g])
-            if _leq(total, max_degree):
+        room = _vec_sub(max_degree, degree[f])
+        for g in ranged[source[f]]:
+            if all(d <= r for d, r in zip(degree[g], room)):
                 combined = normal_form[f] + normal_form[g]
                 product[(f, g)] = class_of[combined] if combined else f
             else:

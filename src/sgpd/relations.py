@@ -17,21 +17,25 @@ projection terms.  Three presentation styles are emitted:
 
 Presentations carry no analytic content: cross-checking evaluates every
 relation of two presentations under one concrete representation and
-reports violations on both sides.
+reports violations on both sides.  When the representation has projection
+atoms (see ``reps``), a relation whose two sides are built from Q_f, P_f,
+one and zero by products, joins and complements is decided on atom masks
+(`atom_mask`); every other relation is evaluated on matrices.
 
 Each emitter call keeps one map from the clause symbols S_f, S_f*, Q_f and
 P_f to their terms, so each of those terms is built once per call and
 shared by every relation that uses it; nothing is cached across calls.
 Every term computes its hash once, when it is built, so the memo that
-evaluates a presentation finds a shared sub-term in O(1).
+evaluates a presentation finds a shared sub-term in O(1); and it stores
+its text the first time it is rendered, so each term is rendered once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations
-from operator import matmul
+from operator import matmul, or_
 from typing import Mapping
 
 from .core import SemigroupoidTable, SgpdError, d_set
@@ -39,7 +43,7 @@ from .covers import selector_families, target_coverings
 from .kgraph import KGraph, rfns_check
 from .markov import Matrix01, follow_weight
 from .matrices import RatMat, join
-from .reps import Representation, Side, axiom_clauses
+from .reps import ProjectionAtoms, Representation, Side, axiom_clauses
 
 
 class IncompatibleGenerators(SgpdError):
@@ -53,7 +57,11 @@ class SourcesPresent(SgpdError):
 class Term:
     """A term of a relation: a frozen dataclass (see `_term`) that computes
     its hash from its class and fields once, when they are set, so hashing
-    it never re-hashes its sub-terms."""
+    it never re-hashes its sub-terms.  `render_term` stores the term's text
+    on it the first time it renders it; the hash and equality never read
+    the text."""
+
+    _text = None
 
     def __post_init__(self):
         # only the dataclass fields are in vars(self) at this point
@@ -149,6 +157,18 @@ def p_term(f: str) -> Term:
     return _Symbols()["P", f]
 
 
+def _projection_symbol(term: Term) -> tuple[str, str] | None:
+    """("Q", f) for the initial shape (mul (adj f) (gen f)), ("P", f) for
+    the final shape (mul (gen f) (adj f)), and None for any other term."""
+    if isinstance(term, Mul) and len(term.factors) == 2:
+        a, b = term.factors
+        if isinstance(a, Adj) and isinstance(b, Gen) and a.name == b.name:
+            return "Q", a.name
+        if isinstance(a, Gen) and isinstance(b, Adj) and a.name == b.name:
+            return "P", a.name
+    return None
+
+
 def certified_projection(term: Term) -> bool:
     """Structurally a projection: unit, zero, an initial or final shape
     t*·t / t·t*, or complements, products and joins of such."""
@@ -159,38 +179,40 @@ def certified_projection(term: Term) -> bool:
     if isinstance(term, Join):
         return True
     if isinstance(term, Mul):
-        if len(term.factors) == 2:
-            a, b = term.factors
-            if isinstance(a, Adj) and isinstance(b, Gen) and a.name == b.name:
-                return True
-            if isinstance(a, Gen) and isinstance(b, Adj) and a.name == b.name:
-                return True
+        if _projection_symbol(term) is not None:
+            return True
         return all(certified_projection(t) for t in term.factors)
     return False
 
 
 def render_term(term: Term) -> str:
-    if isinstance(term, Gen):
-        return f"(gen {term.name})"
-    if isinstance(term, Adj):
-        return f"(adj {term.name})"
-    if isinstance(term, One):
-        return "one"
-    if isinstance(term, Zero):
-        return "zero"
+    """The text of a term, rendered once: it is stored on the term, so a
+    sub-term shared by many relations is rendered once per presentation."""
+    text = term._text
+    if text is not None:
+        return text
     if isinstance(term, Mul):
-        return "(mul " + " ".join(render_term(t) for t in term.factors) + ")"
-    if isinstance(term, Add):
-        if not term.terms:
-            return "zero"
-        return "(sum " + " ".join(render_term(t) for t in term.terms) + ")"
-    if isinstance(term, Join):
-        if not term.terms:
-            return "zero"
-        return "(join " + " ".join(render_term(t) for t in term.terms) + ")"
-    if isinstance(term, Compl):
-        return "(compl " + render_term(term.term) + ")"
-    raise TypeError(f"unknown term {term!r}")
+        text = "(mul " + " ".join([render_term(t) for t in term.factors]) + ")"
+    elif isinstance(term, Gen):
+        text = f"(gen {term.name})"
+    elif isinstance(term, Adj):
+        text = f"(adj {term.name})"
+    elif isinstance(term, One):
+        text = "one"
+    elif isinstance(term, Zero):
+        text = "zero"
+    elif isinstance(term, (Add, Join)) and not term.terms:
+        text = "zero"
+    elif isinstance(term, Add):
+        text = "(sum " + " ".join([render_term(t) for t in term.terms]) + ")"
+    elif isinstance(term, Join):
+        text = "(join " + " ".join([render_term(t) for t in term.terms]) + ")"
+    elif isinstance(term, Compl):
+        text = "(compl " + render_term(term.term) + ")"
+    else:
+        raise TypeError(f"unknown term {term!r}")
+    object.__setattr__(term, "_text", text)
+    return text
 
 
 def eval_term(
@@ -232,6 +254,53 @@ def eval_term(
     return value
 
 
+_UNWALKED = object()
+
+
+def atom_mask(
+    term: Term,
+    symbols: Mapping[tuple[str, str], int],
+    atoms: ProjectionAtoms,
+    memo: dict[Term, int | None],
+) -> int | None:
+    """The atom mask of a term built from Q_f, P_f, one and zero by
+    products, joins and complements, or None for any other term (one with
+    a generator, an adjoint or a sum outside those shapes, or a symbol
+    missing from `symbols`).  `symbols` maps each ("Q", f) and ("P", f) to
+    the mask of its matrix; `memo` holds the masks of terms already walked.
+
+    Exact: the atoms are nonzero, pairwise orthogonal and sum to the
+    identity, so distinct masks are distinct matrices; and commuting
+    projections multiply by AND (`ProjectionAtoms.meet`), join by OR and
+    complement by `full & ~m`."""
+    mask = memo.get(term, _UNWALKED)
+    if mask is not _UNWALKED:
+        return mask
+    mask = None
+    if isinstance(term, Mul):
+        parts = [atom_mask(t, symbols, atoms, memo) for t in term.factors]
+        if None not in parts:
+            mask = atoms.meet(parts)
+        else:
+            symbol = _projection_symbol(term)
+            if symbol is not None:
+                mask = symbols.get(symbol)
+    elif isinstance(term, One):
+        mask = atoms.full
+    elif isinstance(term, Zero):
+        mask = 0
+    elif isinstance(term, Join):
+        parts = [atom_mask(t, symbols, atoms, memo) for t in term.terms]
+        if None not in parts:
+            mask = reduce(or_, parts, 0)
+    elif isinstance(term, Compl):
+        inner = atom_mask(term.term, symbols, atoms, memo)
+        if inner is not None:
+            mask = atoms.full & ~inner
+    memo[term] = mask
+    return mask
+
+
 @dataclass(frozen=True)
 class Relation:
     family: str
@@ -239,11 +308,12 @@ class Relation:
     rhs: Term
     note: str = ""
 
-    @cached_property
-    def key(self) -> tuple[str, str, str]:
-        """(family, rendered lhs, rendered rhs): the order and identity of
-        relations in a presentation, rendered once per relation."""
-        return (self.family, render_term(self.lhs), render_term(self.rhs))
+    def __post_init__(self):
+        # (family, rendered lhs, rendered rhs): the order and identity of
+        # relations in a presentation, rendered once per relation
+        object.__setattr__(
+            self, "key", (self.family, render_term(self.lhs), render_term(self.rhs))
+        )
 
     def render(self) -> str:
         family, lhs, rhs = self.key
@@ -275,7 +345,7 @@ def _side(side: Side, sym: _Symbols) -> Term:
     """The term of an axiom clause side; a single symbol stays bare."""
     if side is None:
         return Zero()
-    terms = tuple(sym[s] for s in side)
+    terms = tuple([sym[s] for s in side])
     return terms[0] if len(terms) == 1 else Mul(terms)
 
 
@@ -428,8 +498,13 @@ def evaluate(
     rename: Mapping[str, str] | None = None,
 ) -> tuple[Relation, ...]:
     """Violated relations of a presentation under a representation; the
-    rename map sends presentation generators to table elements.  Sub-terms
-    shared between relations are evaluated once per call."""
+    rename map sends presentation generators to table elements.
+
+    When the representation has projection atoms (`reps.ProjectionAtoms`),
+    a relation whose two sides both have an `atom_mask` is decided on the
+    masks; every other relation, and every relation of a representation
+    without atoms, is decided on matrices.  Sub-terms shared between
+    relations are walked and evaluated once per call."""
     rename = rename or {}
     lookup: dict[str, RatMat] = {}
     for g in pres.generators:
@@ -439,10 +514,25 @@ def evaluate(
                 f"generator {g!r} (as {token!r}) has no matrix in the representation"
             )
         lookup[g] = rep.assign[token]
+    atoms = rep._atoms
+    symbols: dict[tuple[str, str], int] = {}
+    if atoms is not None:
+        for g in pres.generators:
+            for kind in ("Q", "P"):
+                mask = atoms.masks.get((kind, rename.get(g, g)))
+                if mask is not None:
+                    symbols[kind, g] = mask
+    masks: dict[Term, int | None] = {}
     memo: dict[Term, RatMat] = {}
     bad = []
     for r in pres.relations:
-        if eval_term(r.lhs, lookup, rep.dim, memo) != eval_term(r.rhs, lookup, rep.dim, memo):
+        lhs = rhs = None
+        if atoms is not None:
+            lhs = atom_mask(r.lhs, symbols, atoms, masks)
+            rhs = None if lhs is None else atom_mask(r.rhs, symbols, atoms, masks)
+        if lhs is None or rhs is None:
+            lhs, rhs = (eval_term(t, lookup, rep.dim, memo) for t in (r.lhs, r.rhs))
+        if lhs != rhs:
             bad.append(r)
     return tuple(bad)
 

@@ -18,7 +18,10 @@ Projection atoms: when every initial and final projection Q_f, P_f is a
 projection and they pairwise commute, they generate a finite Boolean
 algebra whose atoms (at most ``dim`` of them) are found once per
 representation.  Each Q_f and P_f is then a bitmask over the atoms, so a
-meet is ``&``, a complement ``full & ~m`` and a join ``|``.
+meet is ``&``, a complement ``full & ~m`` and a join ``|``.  The masks of
+the projection symbols and the meet of a product live on
+``ProjectionAtoms``; ``check_axioms`` and the presentation evaluator in
+``relations`` both read them.
 ``check_axioms`` neither builds nor decides the commute clauses, which
 the atoms' existence settles, and decides every other clause whose sides
 are products of projections on the masks (and product-zero as
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations
 from operator import matmul
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import SemigroupoidTable, SgpdError, d_set
 from .covers import CoverSpec, is_partition, selector_families, target_coverings
@@ -131,6 +134,21 @@ class ProjectionAtoms:
     initial: Mapping[str, int]
     final: Mapping[str, int]
     full: int
+
+    @cached_property
+    def masks(self) -> dict[tuple[str, str], int]:
+        """The mask of each projection symbol: ("Q", f) is Q_f, ("P", f) is P_f."""
+        out = {("Q", f): m for f, m in self.initial.items()}
+        out.update((("P", f), m) for f, m in self.final.items())
+        return out
+
+    def meet(self, masks: Iterable[int]) -> int:
+        """The mask of a product of these projections: the AND of their
+        masks (they commute), and `full` for the empty product."""
+        out = self.full
+        for m in masks:
+            out &= m
+        return out
 
 
 def _projections(elements: list[str]) -> list[tuple[str, str]]:
@@ -291,19 +309,13 @@ def check_axioms(rep: Representation) -> AxiomReport:
         clauses = axiom_clauses(rep.table)
     else:
         clauses = chain(_s_clauses(rep.table), _projection_clauses(rep.table))
-        masks = {("Q", f): m for f, m in atoms.initial.items()}
-        masks.update((("P", f), m) for f, m in atoms.final.items())
+        masks = atoms.masks
 
     def value(side):
         return zero if side is None else reduce(matmul, (mats[x] for x in side))
 
     def meet(side):
-        if side is None:
-            return 0
-        out = atoms.full
-        for x in side:
-            out &= masks[x]
-        return out
+        return 0 if side is None else atoms.meet([masks[x] for x in side])
 
     def holds(tag, els, lhs, rhs):
         if atoms is None or tag in _MATRIX_CLAUSES:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import sgpd.cli
+import sgpd.kgraph
 import sgpd.markov
 from sgpd.cli import run
 from sgpd.formats import render_mat01, render_rep, render_sgpd
@@ -30,6 +31,9 @@ def golden_zero_rep(tmp_path, golden):
     elements = build_markov(golden, 3).table.elements
     path.write_text(render_rep(1, {t: RatMat.zeros(1) for t in elements}))
     return str(path)
+
+
+TWO_LOOPS_KGR = "k: 2\nobjects: v\nedge: b 1 v v\nedge: r 2 v v\nsquare: b r = r b\n"
 
 
 def machine_section(text):
@@ -105,6 +109,28 @@ class TestExitCodes:
             1,
             f"bound exceeded: more than {sgpd.markov.WORD_CAP} admissible words "
             f"up to length {maxlen}\n",
+        )
+
+    @pytest.mark.parametrize(
+        "kgr, maxdeg, degree",
+        [
+            (TWO_LOOPS_KGR, "10,10", "(10, 10)"),
+            (TWO_LOOPS_KGR, "1000000000,1000000000", "(1000000000, 1000000000)"),
+            ("k: 1\nobjects: v\nedge: e 1 v v\n", "1000000000", "(1000000000,)"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "verb", [["kgraph", "check"], ["relations", "--style", "kp", "--kgr"]]
+    )
+    def test_maxdeg_over_word_cap(self, tmp_path, kgr, maxdeg, degree, verb):
+        # refused from the count of edge words, before any word is built
+        path = tmp_path / "big.kgr"
+        path.write_text(kgr)
+        code, text = run([*verb, str(path), "--maxdeg", maxdeg])
+        assert (code, text) == (
+            1,
+            f"bound exceeded: more than {sgpd.kgraph.WORD_CAP} edge words "
+            f"within degree {degree}\n",
         )
 
     @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 from itertools import product as iproduct
+from math import comb
 
 import pytest
 
+import sgpd.kgraph
 from sgpd.core import SemigroupoidTable, UnionFind, d_set, intersects, validate_associativity
+from sgpd.covers import BoundExceededError
 from sgpd.kgraph import (
     BadSplit,
     DegreeOutOfRange,
@@ -11,6 +14,7 @@ from sgpd.kgraph import (
     KGraphSkeleton,
     _box,
     _splits,
+    _word_count,
     _validate_squares,
     build_kgraph,
     common_extensions,
@@ -19,6 +23,8 @@ from sgpd.kgraph import (
     rfns_check,
     slice_partition_check,
 )
+
+from test_indexes import two_vertex_skeleton
 
 
 def two_red_skeleton():
@@ -376,3 +382,49 @@ class TestCategoryShape:
 
     def test_boundary_flags(self, fix_d):
         assert fix_d.table.boundary == {"b.b", "r.r", "b.b.r", "b.r.r", "b.b.r.r"}
+
+
+class TestWordCap:
+    @pytest.mark.parametrize("bound", list(iproduct(range(5), range(5))))
+    def test_count_equals_enumeration(self, bound):
+        # class_of maps every edge word of the truncation to its morphism
+        for skeleton in (two_loops(), two_vertex_skeleton()):
+            kg = build_kgraph(skeleton, bound)
+            assert _word_count(skeleton, bound) == len(kg.class_of)
+        if bound in [(0, 0), (1, 2), (2, 2)]:
+            kg = build_kgraph(two_red_skeleton(), bound)
+            assert _word_count(two_red_skeleton(), bound) == len(kg.class_of)
+
+    def test_two_loops_count_in_closed_form(self):
+        # words of degree (i, j) are the C(i + j, i) interleavings
+        for n in range(9):
+            assert _word_count(two_loops(), (n, n)) == comb(2 * n + 2, n + 1) - 2
+
+    def test_count_passes_cap_without_enumerating(self):
+        loop = KGraphSkeleton(1, ("v",), (Edge("e", 1, "v", "v"),), ())
+        huge = 10**9
+        for skeleton, bound in [(two_loops(), (10, 10)), (two_loops(), (huge, huge)),
+                                (loop, (huge,))]:
+            assert _word_count(skeleton, bound) > sgpd.kgraph.WORD_CAP
+            with pytest.raises(BoundExceededError, match="edge words within degree"):
+                build_kgraph(skeleton, bound)
+
+    def test_count_stops_when_no_word_extends(self):
+        edges = (Edge("e", 1, "u", "v"), Edge("f", 1, "v", "w"))
+        path = KGraphSkeleton(1, ("u", "v", "w"), edges, ())
+        assert _word_count(path, (10**9,)) == 3
+        assert len(build_kgraph(path, (10**9,)).class_of) == 3
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        skeleton = two_loops()  # 250 words within (4, 4)
+        monkeypatch.setattr(sgpd.kgraph, "WORD_CAP", 250)
+        assert len(build_kgraph(skeleton, (4, 4)).class_of) == 250
+        monkeypatch.setattr(sgpd.kgraph, "WORD_CAP", 249)
+        message = r"more than 249 edge words within degree \(4, 4\)"
+        with pytest.raises(BoundExceededError, match=message):
+            build_kgraph(skeleton, (4, 4))
+
+    def test_benchmark_and_ladder_cells_are_under_the_cap(self):
+        # the two-loop 2-graph at (8, 8) still builds; (9, 9) has 184,754 words
+        assert _word_count(two_loops(), (8, 8)) == 48_618 <= sgpd.kgraph.WORD_CAP
+        assert _word_count(two_loops(), (9, 9)) > sgpd.kgraph.WORD_CAP

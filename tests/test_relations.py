@@ -388,23 +388,28 @@ def subterms(term):
         yield from subterms(term.term)
 
 
-def _presentations(fix_c, fix_d, golden):
+def _presentations(fix_c, fix_d, fix_f, golden):
     golden3 = build_markov(golden, 3).table
     three = Matrix01.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     return [
         emit_generic(fix_c.table, tight=True),
         emit_generic(golden3, tight=True),
         emit_generic(fix_d.table, tight=False),
+        emit_generic(fix_f, tight=True),
         emit_cuntz_krieger(golden),
         emit_cuntz_krieger(three),
+        emit_cuntz_krieger(Matrix01.from_rows([[1, 1], [0, 0]])),
         emit_kumjian_pask(fix_c),
         emit_kumjian_pask(fix_d),
     ]
 
 
 class TestSharedTerms:
-    def test_render_equals_fresh_terms(self, fix_c, fix_d, golden):
-        for pres in _presentations(fix_c, fix_d, golden):
+    def test_render_equals_fresh_terms(self, fix_c, fix_d, fix_f, golden):
+        """Each term is rendered once and stores its text; rendering it
+        again gives the same text, which is the text of an equal fresh
+        term that shares nothing and has never been rendered."""
+        for pres in _presentations(fix_c, fix_d, fix_f, golden):
             rebuilt = Presentation(pres.style, pres.generators, tuple(
                 Relation(r.family, fresh(r.lhs), fresh(r.rhs), r.note)
                 for r in pres.relations
@@ -414,8 +419,13 @@ class TestSharedTerms:
             assert [hash(r.lhs) for r in rebuilt.relations] == [
                 hash(r.lhs) for r in pres.relations
             ]
+            for r in pres.relations:
+                for t in (*subterms(r.lhs), *subterms(r.rhs)):
+                    text = render_term(t)
+                    assert render_term(t) is text
+                    assert render_term(fresh(t)) == text
 
-    def test_symbols_built_once_per_presentation(self, fix_c, fix_d, golden):
+    def test_symbols_built_once_per_presentation(self, fix_c, fix_d, fix_f, golden):
         def is_symbol(t):
             """S_f, S_f*, Q_f or P_f."""
             if isinstance(t, (Gen, Adj)):
@@ -425,7 +435,7 @@ class TestSharedTerms:
                 return isinstance(a, (Gen, Adj)) and t in (q_term(a.name), p_term(a.name))
             return False
 
-        for pres in _presentations(fix_c, fix_d, golden):
+        for pres in _presentations(fix_c, fix_d, fix_f, golden):
             ids = {}
             for r in pres.relations:
                 for side in (r.lhs, r.rhs):
@@ -435,15 +445,189 @@ class TestSharedTerms:
             assert any(isinstance(t, Mul) for t in ids)
             assert all(len(s) == 1 for s in ids.values())
 
-    def test_hash_is_of_the_fields(self, fix_c, fix_d, golden):
+    def test_hash_is_of_the_fields(self, fix_c, fix_d, fix_f, golden):
+        """The hash and equality of a term are those of its fields, and do
+        not change once its text is stored."""
         distinct = set()
-        for pres in _presentations(fix_c, fix_d, golden):
+        for pres in _presentations(fix_c, fix_d, fix_f, golden):
+            pres.render()
             for r in pres.relations:
                 for side in (r.lhs, r.rhs):
                     distinct.update(subterms(side))
         for t in distinct:
-            assert hash(t) == hash(fresh(t))
+            unrendered = fresh(t)
+            before = hash(unrendered)
+            assert t._text is not None and unrendered._text is None
+            assert hash(t) == before and t == unrendered
+            render_term(unrendered)
+            assert hash(unrendered) == before and t == unrendered
         # distinct terms hash apart (a hash taken before the fields are
         # set would make every term of a class collide)
         assert len({hash(t) for t in distinct}) == len(distinct) > 100
         assert hash(Gen("f")) != hash(Adj("f")) != hash(Gen("g"))
+
+
+# ---- evaluation on projection atoms against a matrix-only evaluator
+
+
+def matrix_violations(pres, rep, rename=None):
+    """The violated relations of a presentation with both sides of every
+    relation evaluated on matrices (`eval_term`), never on atom masks."""
+    rename = rename or {}
+    lookup = {g: rep.assign[rename.get(g, g)] for g in pres.generators}
+    memo = {}
+    return tuple(
+        r for r in pres.relations
+        if eval_term(r.lhs, lookup, rep.dim, memo) != eval_term(r.rhs, lookup, rep.dim, memo)
+    )
+
+
+def _cyclic_permutation(power):
+    p = RatMat.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    out = RatMat.identity(3)
+    for _ in range(power % 3):
+        out = out @ p
+    return out
+
+
+def _matrix_unit(i, j, dim):
+    return RatMat.from_rows([[int((r, c) == (i, j)) for c in range(dim)] for r in range(dim)])
+
+
+def _atom_reps(table):
+    """Representations of a table whose projections have atoms: zero ones,
+    a unitary one by cyclic permutations, the rank-one projection
+    everywhere, and matrix units on a 3-cycle (each element sends a seeded
+    basis vector i to i + 1, or is zero one time in four), whose initial
+    and final projections differ."""
+    elements = sorted(table.elements)
+    rng = random.Random(len(elements))
+    steps = [rng.choice([None, 0, 1, 2]) for _ in elements]
+    return {
+        "zero-1": zero_rep(table, 1),
+        "zero-2": zero_rep(table, 2),
+        "permutation": Representation(
+            table, 3, {f: _cyclic_permutation(i) for i, f in enumerate(elements)}
+        ),
+        "rank-one": Representation(table, 2, {f: RANK_ONE for f in elements}),
+        "cycle-units": Representation(table, 3, {
+            f: RatMat.zeros(3) if i is None else _matrix_unit((i + 1) % 3, i, 3)
+            for i, f in zip(steps, elements)
+        }),
+    }
+
+
+def _atom_free_rep(table):
+    """Projections that do not commute: E_11 and the rank-one projection
+    onto (1, 1), alternately; a single element gets a matrix that is not a
+    partial isometry."""
+    elements = sorted(table.elements)
+    if len(elements) == 1:
+        return Representation(table, 2, {elements[0]: RatMat.from_rows([[1, 1], [0, 0]])})
+    e11 = _matrix_unit(0, 0, 2)
+    assign = {f: e11 if i % 2 else RANK_ONE for i, f in enumerate(elements)}
+    return Representation(table, 2, assign)
+
+
+def shapes_presentation(elements):
+    """Relations over projection terms in every shape the mask walk reads:
+    complements at the top, inside joins and of joins, joins of products,
+    empty products and joins, and sides that are not projections."""
+    rels = []
+    for f in elements[:4]:
+        for g in elements[:4]:
+            q, p = q_term(f), p_term(g)
+            rels += [
+                Relation("compl", Compl(q), One()),
+                Relation("compl", Compl(q), p),
+                Relation("join", Join((Compl(q), p)), One()),
+                Relation("join", Join((q, p)), Mul((q, p))),
+                Relation("join", Join((q, p)), Join((p, q, Zero()))),
+                Relation("demorgan", Compl(Join((p, q))), Mul((Compl(p), Compl(q)))),
+                Relation("compl", Compl(Compl(q)), Mul((One(), q))),
+                Relation("empty", Join(()), Mul((q, Compl(q)))),
+                Relation("empty", Mul(()), Join((q, Compl(q)))),
+                Relation("mixed", Mul((q, Gen(g))), Mul((Gen(g), Adj(g), Gen(g)))),
+                Relation("mixed", Add((q, p)), Join((q, p))),
+            ]
+    return Presentation("shapes", tuple(elements), tuple(rels))
+
+
+def _differential_cases(fix_c, fix_d, fix_e, fix_f, golden, loop, dead_row):
+    """(name, presentation, table) for the generic tight and Toeplitz
+    presentations of every fixture table, the CK presentation of every
+    fixture matrix over its truncation, the KP presentation of every
+    fixture k-graph, and the shapes presentation."""
+    truncations = {name: build_markov(m, 3) for name, m in
+                   (("golden", golden), ("loop", loop), ("dead_row", dead_row))}
+    tables = {"fix_c": fix_c.table, "fix_d": fix_d.table, "fix_e": fix_e, "fix_f": fix_f}
+    tables.update((name, t.table) for name, t in truncations.items())
+    for name, table in tables.items():
+        yield f"tight-{name}", emit_generic(table, tight=True), table
+        yield f"toeplitz-{name}", emit_generic(table, tight=False), table
+        yield f"shapes-{name}", shapes_presentation(sorted(table.elements)), table
+    for name, trunc in truncations.items():
+        yield f"ck-{name}", emit_cuntz_krieger(trunc.matrix), trunc.table
+    for name, kg in (("fix_c", fix_c), ("fix_d", fix_d)):
+        yield f"kp-{name}", emit_kumjian_pask(kg), kg.table
+
+
+class TestEvaluateOnAtoms:
+    def test_violations_match_matrix_evaluator(
+        self, fix_c, fix_d, fix_e, fix_f, golden, loop, dead_row
+    ):
+        violated = 0
+        failed_families = set()
+        for name, pres, table in _differential_cases(
+            fix_c, fix_d, fix_e, fix_f, golden, loop, dead_row
+        ):
+            for rep_name, rep in _atom_reps(table).items():
+                assert rep._atoms is not None, (name, rep_name)
+                want = matrix_violations(pres, rep)
+                assert evaluate(pres, rep) == want, (name, rep_name)
+                violated += len(want)
+                failed_families.update(r.family for r in want)
+            rep = _atom_free_rep(table)
+            assert rep._atoms is None, name
+            assert evaluate(pres, rep) == matrix_violations(pres, rep), name
+        assert violated > 1000
+        # failures among relations with only projection terms on both sides
+        assert {"domination", "tight", "compl", "join", "tck3"} <= failed_families
+
+    def test_cross_check_matches_matrix_evaluator(self, fix_c, fix_d):
+        for kg in (fix_c, fix_d):
+            generic, kp = emit_generic(kg.table, tight=True), emit_kumjian_pask(kg)
+            for rep in [*_atom_reps(kg.table).values(), _atom_free_rep(kg.table)]:
+                report = cross_check(generic, kp, rep)
+                assert report.a_violations == matrix_violations(generic, rep)
+                assert report.b_violations == matrix_violations(kp, rep)
+
+    def test_rename(self, golden):
+        """Generators read through the rename map: the letters swapped, and
+        renamed apart from the table's names."""
+        table = build_markov(golden, 3).table
+        renamed = Matrix01.from_rows([[1, 1], [1, 0]], alphabet=("x", "y"))
+        cases = [
+            (emit_cuntz_krieger(golden), {"1": "2", "2": "1"}),
+            (emit_cuntz_krieger(renamed), {"x": "1", "y": "2"}),
+            (emit_cuntz_krieger(renamed), {"x": "2", "y": "1"}),
+            (shapes_presentation(["1", "2"]), {"1": "2", "2": "1"}),
+        ]
+        differ = 0
+        for pres, rename in cases:
+            for rep in [*_atom_reps(table).values(), _atom_free_rep(table)]:
+                want = matrix_violations(pres, rep, rename)
+                assert evaluate(pres, rep, rename) == want
+                if set(pres.generators) <= table.elements:
+                    differ += want != matrix_violations(pres, rep)
+        assert differ  # some renames change the verdicts
+
+    def test_generator_missing_from_the_atoms(self, fix_c):
+        """A generator renamed to a matrix outside the table has no mask,
+        so its relations are evaluated on matrices."""
+        rep = _atom_reps(fix_c.table)["cycle-units"]
+        extra = Representation(rep.table, rep.dim, {**rep.assign, "w": _matrix_unit(0, 1, 3)})
+        pres = shapes_presentation(["e", "v"])
+        rename = {"e": "w"}
+        assert evaluate(pres, extra, rename) == matrix_violations(pres, extra, rename)
+        assert evaluate(pres, extra, rename) != evaluate(pres, extra)
