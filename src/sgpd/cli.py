@@ -192,14 +192,15 @@ def cmd_kgraph(args, report: Report) -> int:
     rfns = rfns_check(kg)
     report.add("rfns", "pass" if rfns is True else f"fail {rfns.vertex} {rfns.n}")
     code = 0 if rfns is True else 1
-    bad_slices = []
+    bad_slice = None
     for v, n in kg.slices:
         verdict = slice_partition_check(kg, v, n)
         if verdict is not True:
-            bad_slices.append((v, n, verdict))
-    report.add("slice-partitions", "pass" if not bad_slices else "fail")
-    if bad_slices:
-        v, n, verdict = bad_slices[0]
+            bad_slice = (v, n, verdict)
+            break
+    report.add("slice-partitions", "pass" if bad_slice is None else "fail")
+    if bad_slice is not None:
+        v, n, verdict = bad_slice
         report.add("slice-witness", f"{v} {n} {verdict.kind} {verdict.detail}")
         code = 1
     if args.out:
@@ -207,7 +208,7 @@ def cmd_kgraph(args, report: Report) -> int:
         report.add("out", args.out)
     report.note(
         f"{len(kg.normal_form)} morphisms within degree {tuple(max_degree)}; "
-        + ("all degree slices partition." if not bad_slices else "slice check failed.")
+        + ("all degree slices partition." if bad_slice is None else "slice check failed.")
     )
     return code
 

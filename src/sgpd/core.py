@@ -138,19 +138,32 @@ class SemigroupoidTable:
     composable: frozenset[tuple[str, str]] = field(init=False)
 
     def __post_init__(self):
-        for (f, g), h in self.product.items():
-            if f not in self.elements or g not in self.elements:
-                raise MalformedTable(f"composable pair ({f}, {g}) not in carrier")
-            if h not in self.elements:
-                raise MalformedTable(f"product {f}*{g} = {h} not in carrier")
-        if not self.boundary <= self.elements:
+        # each condition is decided on whole sets; the walk that names a
+        # witness runs only when one fails (products in table order,
+        # artifact pairs in sorted order, so the message is deterministic)
+        elements, product, artifacts = self.elements, self.product, self.artifact_pairs
+        composable = frozenset(product)
+        if not (
+            elements.issuperset(chain.from_iterable(composable))
+            and elements.issuperset(product.values())
+        ):
+            for (f, g), h in product.items():
+                if f not in elements or g not in elements:
+                    raise MalformedTable(f"composable pair ({f}, {g}) not in carrier")
+                if h not in elements:
+                    raise MalformedTable(f"product {f}*{g} = {h} not in carrier")
+        if not self.boundary <= elements:
             raise MalformedTable("boundary elements outside carrier")
-        for f, g in self.artifact_pairs:
-            if f not in self.elements or g not in self.elements:
-                raise MalformedTable(f"artifact pair ({f}, {g}) not in carrier")
-            if (f, g) in self.product:
-                raise MalformedTable(f"pair ({f}, {g}) both composable and artifact")
-        object.__setattr__(self, "composable", frozenset(self.product))
+        if not (
+            elements.issuperset(chain.from_iterable(artifacts))
+            and artifacts.isdisjoint(composable)
+        ):
+            for f, g in sorted(artifacts):
+                if f not in elements or g not in elements:
+                    raise MalformedTable(f"artifact pair ({f}, {g}) not in carrier")
+                if (f, g) in composable:
+                    raise MalformedTable(f"pair ({f}, {g}) both composable and artifact")
+        object.__setattr__(self, "composable", composable)
 
     @classmethod
     def build(

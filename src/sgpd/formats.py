@@ -36,28 +36,37 @@ def _int(text: str, lineno: int, what: str) -> int:
         raise FormatError(f"line {lineno}: bad {what} {text.strip()!r}") from None
 
 
+_COMPOSE = re.compile(r"compose:\s*(\S+)\s+(\S+)\s*->\s*(\S+)")
+
+
 def parse_sgpd(text: str) -> SemigroupoidTable:
+    """One pass over the lines: each line is dispatched on the keyword
+    before its first ':' (artifact lines, the bulk of a truncation, first)."""
     elements: set[str] = set()
     product: dict[tuple[str, str], str] = {}
     boundary: set[str] = set()
-    artifacts: set[tuple[str, str]] = set()
-    for lineno, line in _lines(text):
-        if line.startswith("elements:"):
-            elements.update(line[len("elements:") :].split())
-        elif line.startswith("compose:"):
-            m = re.fullmatch(r"compose:\s*(\S+)\s+(\S+)\s*->\s*(\S+)", line)
-            if not m:
-                raise FormatError(f"line {lineno}: bad compose line {line!r}")
-            product[(m.group(1), m.group(2))] = m.group(3)
-        elif line.startswith("boundary:"):
-            boundary.update(line[len("boundary:") :].split())
-        elif line.startswith("artifact:"):
-            parts = line[len("artifact:") :].split()
+    artifacts: list[tuple[str, str]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        key, colon, rest = line.partition(":")
+        key = key.lstrip() if colon else None
+        if key == "artifact":
+            parts = rest.split()
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: artifact line needs two tokens")
-            artifacts.add((parts[0], parts[1]))
-        else:
-            raise FormatError(f"line {lineno}: unrecognised line {line!r}")
+            artifacts.append((parts[0], parts[1]))
+        elif key == "compose":
+            m = _COMPOSE.fullmatch(line.strip())
+            if not m:
+                raise FormatError(f"line {lineno}: bad compose line {line.strip()!r}")
+            product[(m.group(1), m.group(2))] = m.group(3)
+        elif key == "elements":
+            elements.update(rest.split())
+        elif key == "boundary":
+            boundary.update(rest.split())
+        elif line.strip():
+            raise FormatError(f"line {lineno}: unrecognised line {line.strip()!r}")
     if not elements:
         raise FormatError("no elements declared")
     try:
@@ -206,20 +215,29 @@ def parse_matrix_literal(text: str) -> RatMat:
         raise FormatError(str(exc)) from exc
 
 
+_REP_LINE = re.compile(r"(\S+)\s*=\s*(\[.*\])")
+
+
 def parse_rep(text: str) -> tuple[int, dict[str, RatMat]]:
+    """Each distinct literal text is parsed once per call; elements written
+    with the same literal share one (immutable) matrix."""
     dim: int | None = None
     assign: dict[str, RatMat] = {}
+    parsed: dict[str, RatMat] = {}
     for lineno, line in _lines(text):
         if line.startswith("dim:"):
             dim = _int(line[4:], lineno, "dimension")
         else:
-            m = re.fullmatch(r"(\S+)\s*=\s*(\[.*\])", line)
+            m = _REP_LINE.fullmatch(line)
             if not m:
                 raise FormatError(f"line {lineno}: expected 'element = [[...]]'")
             name, literal = m.group(1), m.group(2)
             if name in assign:
                 raise FormatError(f"line {lineno}: duplicate matrix for {name!r}")
-            assign[name] = parse_matrix_literal(literal)
+            mat = parsed.get(literal)
+            if mat is None:
+                mat = parsed[literal] = parse_matrix_literal(literal)
+            assign[name] = mat
     if dim is None:
         raise FormatError("missing 'dim:' line")
     for name, mat in assign.items():

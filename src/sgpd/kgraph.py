@@ -209,6 +209,14 @@ class KGraph:
             members[(self.range[t], self.degree[t])].add(t)
         return {key: frozenset(ts) for key, ts in members.items()}
 
+    @cached_property
+    def into(self) -> dict[str, tuple[str, ...]]:
+        """object -> the morphisms of that range, of every degree."""
+        out: dict[str, list[str]] = {v: [] for v in self.objects}
+        for t in self.normal_form:
+            out[self.range[t]].append(t)
+        return {v: tuple(ts) for v, ts in out.items()}
+
 
 def build_kgraph(
     skeleton: KGraphSkeleton, max_degree: Sequence[int]
@@ -413,9 +421,7 @@ def slice_partition_check(kg: KGraph, v: str, n: Sequence[int]):
     checked against the members whose common multiples stay in bounds."""
     slice_ = degree_slice(kg, v, n)
     budget = _vec_sub(kg.max_degree, slice_.n)
-    within = frozenset(
-        g for (u, d), ms in kg.slices.items() if u == v and _leq(d, budget) for g in ms
-    )
+    within = frozenset(g for g in kg.into[v] if _leq(kg.degree[g], budget))
     verdict = is_partition(kg.table, CoverSpec(within | slice_.members, slice_.members))
     if isinstance(verdict, IntersectingPair):
         detail = (verdict.a, verdict.b, verdict.common_multiple)

@@ -39,11 +39,15 @@ from operator import matmul, or_
 from typing import Mapping
 
 from .core import SemigroupoidTable, SgpdError, d_set
-from .covers import selector_families, target_coverings
+from .covers import BoundExceededError, selector_families, target_coverings
 from .kgraph import KGraph, rfns_check
 from .markov import Matrix01, follow_weight
 from .matrices import RatMat, join
 from .reps import ProjectionAtoms, Representation, Side, axiom_clauses
+
+# el13 relations (4^n for n letters) the Cuntz-Krieger emitter may emit;
+# 8 letters take seconds, 10 take minutes
+EL13_CAP = 4**8
 
 
 class IncompatibleGenerators(SgpdError):
@@ -385,8 +389,14 @@ def _subsets(items):
 def emit_cuntz_krieger(matrix: Matrix01) -> Presentation:
     """Letter-generator presentation: TCK families plus the sum relation
     tying each selector product of initial projections to the final
-    projections of the letters it admits."""
+    projections of the letters it admits.  Its 4^n el13 relations are
+    counted first: past EL13_CAP this raises BoundExceededError before
+    emitting any relation."""
     letters = list(matrix.alphabet)
+    if 4 ** len(letters) > EL13_CAP:
+        raise BoundExceededError(
+            f"more than {EL13_CAP} el13 relations for {len(letters)} letters"
+        )
     sym = _Symbols()
     rels: list[Relation] = []
     for i in letters:

@@ -84,7 +84,8 @@ class Representation:
 
     `assign` is treated as immutable: each S_f, its adjoint and its initial
     and final projections are computed once, on first use, into one symbol
-    map (`_symbols`) that `initial`, `final` and the checks read.  So are
+    map (`_symbols`) that `initial`, `final` and the checks read; elements
+    with equal matrices share one adjoint and one pair of projections.  So are
     the projection atoms (`_atoms`).
     """
 
@@ -109,9 +110,14 @@ class Representation:
     @cached_property
     def _symbols(self) -> dict[tuple[str, str], RatMat]:
         out = {}
+        derived: dict[RatMat, tuple[RatMat, RatMat, RatMat]] = {}
         for f, s in self.assign.items():
-            t = s.T
-            out["S", f], out["S*", f], out["Q", f], out["P", f] = s, t, t @ s, s @ t
+            d = derived.get(s)
+            if d is None:
+                t = s.T
+                d = derived[s] = (t, t @ s, s @ t)
+            out["S", f] = s
+            out["S*", f], out["Q", f], out["P", f] = d
         return out
 
     @cached_property

@@ -282,3 +282,23 @@ class TestVerbs:
         monkeypatch.setenv("SGPD_THREADS", "zero")
         code, _ = run(["validate", golden_table])
         assert code == 2
+
+
+class TestBounds:
+    def test_kgraph_check_stops_at_the_first_bad_slice(self, tmp_path):
+        # u <- v <- w: the u slices of degree 3 and up are empty, so the
+        # first failing slice is the same at every bound from 3 on
+        kgr = tmp_path / "path.kgr"
+        kgr.write_text("k: 1\nobjects: u v w\nedge: a 1 v u\nedge: b 1 w v\n")
+        witness = "slice-witness: u (3,) uncovered ('a',)"
+        for bound in ("4", "20000"):
+            code, text = run(["kgraph", "check", str(kgr), "--maxdeg", bound])
+            assert code == 1
+            assert witness in text.splitlines()
+
+    def test_relations_ck_refuses_nine_letters(self, tmp_path):
+        mat = tmp_path / "ones9.mat01"
+        mat.write_text(render_mat01(Matrix01.from_rows([[1] * 9] * 9)))
+        code, text = run(["relations", "--style", "ck", "--matrix", str(mat)])
+        assert code == 1
+        assert text == "bound exceeded: more than 65536 el13 relations for 9 letters\n"

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import sgpd.relations
+from sgpd.covers import BoundExceededError
 from sgpd.kgraph import Edge, KGraphSkeleton, build_kgraph
 from sgpd.markov import Matrix01, build_markov
 from sgpd.matrices import RatMat
@@ -127,6 +129,23 @@ class TestEmitCK:
             and r.rhs == Add((p_term("1"), p_term("2")))
             for r in pres.relations
         )
+
+
+class TestEL13Cap:
+    def test_cap_is_inclusive(self, monkeypatch):
+        # 4^n el13 relations for n letters
+        monkeypatch.setattr(sgpd.relations, "EL13_CAP", 16)
+        two = Matrix01.from_rows([[1, 1], [1, 1]])
+        el13 = [r for r in emit_cuntz_krieger(two).relations if r.family == "el13"]
+        assert len(el13) == 16
+        three = Matrix01.from_rows([[1] * 3] * 3)
+        with pytest.raises(BoundExceededError, match="more than 16 el13 relations for 3 letters"):
+            emit_cuntz_krieger(three)
+
+    def test_nine_letters_refused(self):
+        assert sgpd.relations.EL13_CAP == 4**8
+        with pytest.raises(BoundExceededError, match="for 9 letters"):
+            emit_cuntz_krieger(Matrix01.from_rows([[1] * 9] * 9))
 
 
 class TestEmitKP:
