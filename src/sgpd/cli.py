@@ -193,7 +193,7 @@ def cmd_kgraph(args, report: Report) -> int:
     report.add("rfns", "pass" if rfns is True else f"fail {rfns.vertex} {rfns.n}")
     code = 0 if rfns is True else 1
     bad_slice = None
-    for v, n in kg.slices:
+    for v, n in kg.slice_keys():
         verdict = slice_partition_check(kg, v, n)
         if verdict is not True:
             bad_slice = (v, n, verdict)

@@ -327,16 +327,21 @@ def intersects(table: SemigroupoidTable, f: str, g: str) -> str | None:
     return min(table.multiples[f] & table.multiples[g], default=None)
 
 
+class Witness:
+    """Base of the records a check returns instead of True: falsy, so that
+    `if check(...)` reads right.  Subclasses are frozen dataclasses."""
+
+    def __bool__(self) -> bool:
+        return False
+
+
 @dataclass(frozen=True)
-class MonicCounterexample:
-    """Distinct g, h with fg = fh; falsy so `if is_monic(...)` reads right."""
+class MonicCounterexample(Witness):
+    """Distinct g, h with fg = fh."""
 
     g: str
     h: str
     product: str
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def is_monic(table: SemigroupoidTable, f: str):

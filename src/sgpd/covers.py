@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import SemigroupoidTable, SgpdError, divides, intersects
+from .core import SemigroupoidTable, SgpdError, Witness, divides, intersects
 
 # search nodes the covering enumeration may visit before it gives up
 NODE_CAP = 200_000
@@ -67,21 +67,15 @@ class CoverSpec:
 
 
 @dataclass(frozen=True)
-class Uncovered:
+class Uncovered(Witness):
     element: str
-
-    def __bool__(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
-class IntersectingPair:
+class IntersectingPair(Witness):
     a: str
     b: str
     common_multiple: str
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def is_covering(table: SemigroupoidTable, spec: CoverSpec):

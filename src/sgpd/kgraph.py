@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 from typing import Iterator, Mapping, Sequence
 
-from .core import SemigroupoidTable, SgpdError, UnionFind
+from .core import SemigroupoidTable, SgpdError, UnionFind, Witness
 from .covers import BoundExceededError, CoverSpec, IntersectingPair, Uncovered, is_partition
 
 # nonempty edge words a truncation may have; build_kgraph counts them first
@@ -112,8 +111,11 @@ def _vec_sub(a, b):
 
 
 def _box(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every degree between 0 and `bound` componentwise, in lexicographic order."""
-    return iproduct(*(range(x + 1) for x in bound))
+    """Every degree between 0 and `bound` componentwise, in lexicographic
+    order, lazily in every coordinate (however large the bound is)."""
+    if not bound:
+        return iter([()])
+    return ((x,) + rest for x in range(bound[0] + 1) for rest in _box(bound[1:]))
 
 
 def _splits(
@@ -201,13 +203,16 @@ class KGraph:
     @cached_property
     def slices(self) -> dict[tuple[str, tuple[int, ...]], frozenset[str]]:
         """(object, degree) -> the morphisms of that range and degree, for
-        every object (sorted) and every degree within the bound."""
-        members: dict[tuple[str, tuple[int, ...]], set[str]] = {
-            (v, n): set() for v in sorted(self.objects) for n in _box(self.max_degree)
-        }
+        every nonempty slice, in (object, degree) order: a missing key is
+        an empty slice, so the map is bounded by the morphisms."""
+        members: dict[tuple[str, tuple[int, ...]], set[str]] = {}
         for t in self.normal_form:
-            members[(self.range[t], self.degree[t])].add(t)
-        return {key: frozenset(ts) for key, ts in members.items()}
+            members.setdefault((self.range[t], self.degree[t]), set()).add(t)
+        return {key: frozenset(members[key]) for key in sorted(members)}
+
+    def slice_keys(self) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """Every (object, degree) within the bound, in order, lazily."""
+        return ((v, n) for v in sorted(self.objects) for n in _box(self.max_degree))
 
     @cached_property
     def into(self) -> dict[str, tuple[str, ...]]:
@@ -386,34 +391,29 @@ def degree_slice(kg: KGraph, v: str, n: Sequence[int]) -> DegreeSlice:
     if v not in kg.objects:
         raise SgpdError(f"unknown object {v!r}")
     n = _bounded_degree(kg, n)
-    return DegreeSlice(v, n, kg.slices[(v, n)])
+    return DegreeSlice(v, n, kg.slices.get((v, n), frozenset()))
 
 
 @dataclass(frozen=True)
-class EmptySlice:
+class EmptySlice(Witness):
     vertex: str
     n: tuple[int, ...]
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def rfns_check(kg: KGraph):
     """Row-finite and source-free within the truncation: every degree
-    slice up to the bound is nonempty (finiteness is automatic here)."""
-    for (v, n), members in kg.slices.items():
-        if not members:
+    slice up to the bound is nonempty (finiteness is automatic here).
+    The first empty slice is the witness."""
+    for v, n in kg.slice_keys():
+        if (v, n) not in kg.slices:
             return EmptySlice(v, n)
     return True
 
 
 @dataclass(frozen=True)
-class SliceWitness:
+class SliceWitness(Witness):
     kind: str
     detail: tuple
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def slice_partition_check(kg: KGraph, v: str, n: Sequence[int]):
@@ -442,9 +442,9 @@ def common_extensions(
     if not (_leq(kg.degree[f], n) and _leq(kg.degree[g], n)):
         raise DegreeOutOfRange(f"degree {n} does not dominate d({f}), d({g})")
     out = []
-    for p in sorted(kg.slices[(kg.source[f], _vec_sub(n, kg.degree[f]))]):
+    for p in sorted(kg.slices.get((kg.source[f], _vec_sub(n, kg.degree[f])), ())):
         fp = kg.table.product[(f, p)]
-        for q in sorted(kg.slices[(kg.source[g], _vec_sub(n, kg.degree[g]))]):
+        for q in sorted(kg.slices.get((kg.source[g], _vec_sub(n, kg.degree[g])), ())):
             if kg.table.product[(g, q)] == fp:
                 out.append((p, q))
     return out

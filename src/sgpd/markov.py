@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
-from .core import SemigroupoidTable, SgpdError
+from .core import SemigroupoidTable, SgpdError, Witness
 from .covers import BoundExceededError
 
 # admissible words a truncation may have; build_markov counts them first and
@@ -209,7 +209,7 @@ def follower_letters(
 
 
 @dataclass(frozen=True)
-class GraphObstruction:
+class GraphObstruction(Witness):
     """Entries (i,j)=1, (i2,j)=1, (i2,j2)=1 but (i,j2)=0: any source/range
     assignment would force s(i)=r(j2) and contradict the zero entry."""
 
@@ -217,9 +217,6 @@ class GraphObstruction:
     j: str
     i2: str
     j2: str
-
-    def __bool__(self) -> bool:
-        return False
 
     def chain(self) -> str:
         return (
@@ -314,12 +311,9 @@ def enumerate_partitions(
 
 
 @dataclass(frozen=True)
-class LemmaWitness:
+class LemmaWitness(Witness):
     kind: str
     detail: tuple
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def _is_partition_of_words(matrix, members, universe):

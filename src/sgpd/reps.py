@@ -19,20 +19,16 @@ projection and they pairwise commute, they generate a finite Boolean
 algebra whose atoms (at most ``dim`` of them) are found once per
 representation.  Each Q_f and P_f is then a bitmask over the atoms, so a
 meet is ``&``, a complement ``full & ~m`` and a join ``|``.  The masks of
-the projection symbols and the meet of a product live on
-``ProjectionAtoms``; ``check_axioms`` and the presentation evaluator in
-``relations`` both read them.
-``check_axioms`` neither builds nor decides the commute clauses, which
-the atoms' existence settles, and decides every other clause whose sides
-are products of projections on the masks (and product-zero as
-Q_f P_g = 0, which for partial isometries is equivalent to S_f S_g = 0);
-only the partial-isometry and product clauses, the annihilation
-cross-check and the got/want matrices of a failure are computed as
-matrices.  ``check_tight``
-requires the atoms: it decides every family on masks, builds matrices only
-for the failures, and raises ``NoProjectionAtoms`` (naming the first
-non-projection or the first non-commuting pair) when there are none.
-Representations that pass the axioms always have atoms.
+the projection symbols, the meet of a product and the matrix of a mask
+(the sum of the atoms under it) live on ``ProjectionAtoms``, the only
+route by which ``check_axioms`` and ``check_tight`` decide or build a
+projection; the presentation evaluator in ``relations`` reads the masks
+too.  ``check_axioms`` decides the S clauses on matrices, then (without
+atoms) reports the first commute clause that fails, or (with atoms)
+decides the other projection clauses on masks.  ``check_tight`` requires
+the atoms and raises ``NoProjectionAtoms`` (naming the first
+non-projection or non-commuting pair) when there are none, which never
+happens after the axioms pass.
 
 Truncation conventions: artifact pairs are exempt from the zero clauses
 (their products exist beyond the bound).  The selector families and the
@@ -49,7 +45,7 @@ from itertools import chain, combinations
 from operator import matmul
 from typing import Iterable, Iterator, Mapping
 
-from .core import SemigroupoidTable, SgpdError, d_set
+from .core import SemigroupoidTable, SgpdError, Witness, d_set
 from .covers import CoverSpec, is_partition, selector_families, target_coverings
 from .kgraph import KGraph
 from .matrices import RatMat, hstack, join, rank
@@ -135,11 +131,14 @@ class Representation:
 class ProjectionAtoms:
     """The initial and final projections of a representation as bitmasks
     over the atoms of the Boolean algebra they generate: bit i is set when
-    atom i lies under the projection.  `full` (every atom) is the identity."""
+    atom i (the matrix `atoms[i]`) lies under the projection.  `full`
+    (every atom) is the identity."""
 
     initial: Mapping[str, int]
     final: Mapping[str, int]
     full: int
+    atoms: tuple[RatMat, ...]
+    dim: int
 
     @cached_property
     def masks(self) -> dict[tuple[str, str], int]:
@@ -155,6 +154,12 @@ class ProjectionAtoms:
         for m in masks:
             out &= m
         return out
+
+    def matrix(self, mask: int) -> RatMat:
+        """The projection with this mask: the sum of the atoms under it
+        (exact, since the atoms are pairwise orthogonal)."""
+        under = (a for i, a in enumerate(self.atoms) if mask >> i & 1)
+        return sum(under, RatMat.zeros(self.dim))
 
 
 def _projections(elements: list[str]) -> list[tuple[str, str]]:
@@ -199,7 +204,8 @@ def projection_atoms(rep: Representation) -> ProjectionAtoms | None:
     ]
     initial = {f: masks[index["Q", f]] for f in elements}
     final = {f: masks[index["P", f]] for f in elements}
-    return ProjectionAtoms(initial, final, (1 << len(atoms)) - 1)
+    matrices = tuple(a for a, _ in atoms)
+    return ProjectionAtoms(initial, final, (1 << len(atoms)) - 1, matrices, rep.dim)
 
 
 def _atoms_obstruction(rep: Representation) -> str:
@@ -209,9 +215,19 @@ def _atoms_obstruction(rep: Representation) -> str:
     for kind, f in _projections(sorted(rep.table.elements)):
         if not symbols[kind, f].is_projection():
             return f"{kind}_{f} is not a projection: S_{f} is not a partial isometry"
-    for _, _, _, (a, b), _ in _commute_clauses(rep.table):
+    a, b = _first_noncommuting(rep)[3]
+    return f"{a[0]}_{a[1]} and {b[0]}_{b[1]} do not commute"
+
+
+def _first_noncommuting(rep: Representation) -> Clause:
+    """The first commute clause that fails.  Only for a representation
+    whose Q_f and P_f are all projections but have no atoms: then two of
+    them do not commute."""
+    symbols = rep._symbols
+    for clause in _commute_clauses(rep.table):
+        a, b = clause[3]
         if symbols[a] @ symbols[b] != symbols[b] @ symbols[a]:
-            return f"{a[0]}_{a[1]} and {b[0]}_{b[1]} do not commute"
+            return clause
     raise AssertionError("projection atoms missing without an obstruction")
 
 
@@ -237,10 +253,6 @@ class AxiomReport:
 # projections.
 Side = tuple[tuple[str, str], ...] | None
 Clause = tuple[str, str, tuple[str, ...], Side, Side]
-
-# clauses with a side that is not a product of projections; every other
-# clause but product-zero compares two products of projections
-_MATRIX_CLAUSES = frozenset({"partial-isometry", "product"})
 
 
 def axiom_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
@@ -295,46 +307,46 @@ def _projection_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
 
 def check_axioms(rep: Representation) -> AxiomReport:
     """All representation axioms, exactly, in the order of axiom_clauses;
-    the report carries the first failure.
+    the report carries the first failure and the matrices of its sides.
 
-    With projection atoms, every commute clause holds (atoms exist only
-    when all the projections commute), so none is built or decided; any
-    other clause whose sides are products of projections holds when their
-    meets (masks ANDed) agree, and product-zero S_f S_g = 0 holds when
-    Q_f P_g = 0: atoms exist only when every S is a partial isometry, and
-    then S_f S_g = S_f (Q_f P_g) S_g and Q_f P_g = S_f* (S_f S_g) S_g*.
-    The other clauses, and the got/want matrices of a failing clause, are
-    matrix products of the symbol map.  The annihilation clause is
-    additionally re-derived from the product rule with matrices, as an
-    internal cross-check.
+    1. The S clauses, on matrices; with projection atoms, product-zero is
+       Q_f P_g = 0 on masks (S_f S_g = S_f (Q_f P_g) S_g, Q_f P_g =
+       S_f* (S_f S_g) S_g*).
+    2. Without atoms, the first failing commute clause: once every S_f is
+       a partial isometry, every Q_f and P_f is a projection (for real
+       matrices Q_f^2 = Q_f exactly when S_f S_f* S_f = S_f), so two of
+       them do not commute.
+    3. With atoms (every commute clause holds), the other projection
+       clauses, on the meets of their sides' masks; the annihilation
+       clause is also re-derived from the product rule with matrices.
     """
     zero = RatMat.zeros(rep.dim)
     mats = rep._symbols
     atoms = rep._atoms
-    if atoms is None:
-        clauses = axiom_clauses(rep.table)
-    else:
-        clauses = chain(_s_clauses(rep.table), _projection_clauses(rep.table))
-        masks = atoms.masks
 
     def value(side):
         return zero if side is None else reduce(matmul, (mats[x] for x in side))
 
-    def meet(side):
-        return 0 if side is None else atoms.meet([masks[x] for x in side])
-
-    def holds(tag, els, lhs, rhs):
-        if atoms is None or tag in _MATRIX_CLAUSES:
-            return value(lhs) == value(rhs)
-        if tag == "product-zero":
-            return masks["Q", els[0]] & masks["P", els[1]] == 0
-        return meet(lhs) == meet(rhs)
-
     def fail(tag, els, got, want):
         return AxiomReport(False, AxiomFailure(tag, els, got, want))
 
-    for tag, _, els, lhs, rhs in clauses:
-        if not holds(tag, els, lhs, rhs):
+    for tag, _, els, lhs, rhs in _s_clauses(rep.table):
+        if tag == "product-zero" and atoms is not None:
+            holds = atoms.initial[els[0]] & atoms.final[els[1]] == 0
+        else:
+            holds = value(lhs) == value(rhs)
+        if not holds:
+            return fail(tag, els, value(lhs), value(rhs))
+    if atoms is None:
+        tag, _, els, lhs, rhs = _first_noncommuting(rep)
+        return fail(tag, els, value(lhs), value(rhs))
+    masks = atoms.masks
+
+    def meet(side):
+        return 0 if side is None else atoms.meet([masks[x] for x in side])
+
+    for tag, _, els, lhs, rhs in _projection_clauses(rep.table):
+        if meet(lhs) != meet(rhs):
             return fail(tag, els, value(lhs), value(rhs))
         if tag == "annihilation":
             f, g = els
@@ -376,16 +388,14 @@ def check_tight(
     are none (never after the axioms pass).  A family's product is the
     meet of its Q masks and Q complements; each target's coverings are
     grouped by join mask (with the partition self-check) once per call, so
-    a family costs one comparison per distinct join.  Matrices are built
-    only for the coverings of failing families, as the join of their final
-    projections and the product of initial projections and complements."""
+    a family costs one comparison per distinct join.  A failure's join of
+    final projections and product of initial projections and complements
+    are read from the atoms, as the sums of the atoms under their masks."""
     atoms = rep._atoms
     if atoms is None:
         raise NoProjectionAtoms(_atoms_obstruction(rep))
     table = rep.table
-    identity = RatMat.identity(rep.dim)
     by_target: dict[frozenset[str], tuple[list[int], set[int]]] = {}
-    join_mats: dict[CoverSpec, RatMat] = {}
     failures = []
     families = 0
     coverings_checked = 0
@@ -405,17 +415,12 @@ def check_tight(
             rhs &= ~atoms.initial[g]
         if distinct == {rhs}:
             continue
-        factors = [rep.initial(f) for f in required]
-        factors += [identity - rep.initial(g) for g in forbidden]
-        rhs_mat = reduce(matmul, factors)
+        product = atoms.matrix(rhs)
         for spec, lhs in zip(coverings, joins):
             if lhs != rhs:
+                joined = atoms.matrix(lhs)
                 covering = tuple(sorted(spec.candidate))
-                if spec not in join_mats:
-                    join_mats[spec] = join((rep.final(h) for h in covering), rep.dim)
-                failures.append(
-                    TightFailure(required, forbidden, covering, join_mats[spec], rhs_mat)
-                )
+                failures.append(TightFailure(required, forbidden, covering, joined, product))
     return TightnessReport(not failures, tuple(failures), families, coverings_checked)
 
 
@@ -425,7 +430,8 @@ def _join_masks(
     """The join mask of each covering of one target, in order, and the set
     of them.  On a partition the join must equal the plain sum of the final
     projections, that is, the members' masks must be pairwise disjoint;
-    this re-checks orthogonality."""
+    this re-checks orthogonality, walking the table only for a covering
+    whose members' masks overlap."""
     joins = []
     for spec in coverings:
         joined = 0
@@ -433,7 +439,7 @@ def _join_masks(
         for h in spec.candidate:
             overlap = overlap or bool(joined & final[h])
             joined |= final[h]
-        if is_partition(table, spec) is True and overlap:
+        if overlap and is_partition(table, spec) is True:
             raise PreconditionUnmet(
                 "join and sum disagree on a partition; final "
                 "projections are not orthogonal (axioms violated?)"
@@ -443,12 +449,9 @@ def _join_masks(
 
 
 @dataclass(frozen=True)
-class NonzeroSpring:
+class NonzeroSpring(Witness):
     element: str
     kind: str  # "spring" or "derived-dead"
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def spring_vanishing_check(rep: Representation):
@@ -465,14 +468,11 @@ def spring_vanishing_check(rep: Representation):
 
 
 @dataclass(frozen=True)
-class CollapseWitness:
+class CollapseWitness(Witness):
     f: str
     g: str
     h: str
     reason: str
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def monic_collapse_check(rep: Representation):
@@ -511,12 +511,9 @@ def sole_idempotent_check(
 
 
 @dataclass(frozen=True)
-class CategoryFactsWitness:
+class CategoryFactsWitness(Witness):
     clause: str
     elements: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return False
 
 
 def _require_same_table(rep: Representation, kg: KGraph):

@@ -224,6 +224,59 @@ def test_atoms_build_no_commute_clause(monkeypatch, fixtures):
         check_axioms(no_atoms)
 
 
+def rank_one_representation(rng):
+    """Rank-one partial isometries u v^T on a table with no composable
+    pairs, with u = e3 and v a rational unit vector in the e1e2 plane (or
+    the zero matrix).  Every v is orthogonal to u, so every product
+    vanishes and every S clause holds; Q_f = v_f v_f^T and Q_g commute only
+    when v_f and v_g are parallel or orthogonal, so many draws have no
+    atoms."""
+    names = ["f", "g", "h"][: rng.randint(2, 3)]
+
+    def partial_isometry():
+        if rng.random() < 0.2:
+            return RatMat.zeros(3)
+        t = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        a, b = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        return RatMat.from_rows([[0, 0, 0], [0, 0, 0], [a, b, 0]])
+
+    table = SemigroupoidTable.build(names, {})
+    return Representation(table, 3, {f: partial_isometry() for f in names})
+
+
+@FUZZ
+@given(seed=st.integers(0, 2**32))
+def test_no_atoms_stage_matches_matrices(seed):
+    rep = rank_one_representation(random.Random(seed))
+    assert check_axioms(rep) == ref_check_axioms(rep)
+
+
+def test_rank_one_inputs_reach_the_commute_failure():
+    """Draws without atoms fail on their first non-commuting pair, and
+    some draws have no atoms, others have them."""
+    verdicts = set()
+    for seed in range(40):
+        rep = rank_one_representation(random.Random(seed))
+        report = check_axioms(rep)
+        verdicts.add((rep._atoms is None, report.failure.tag if report.failure else "pass"))
+    assert {tag for no_atoms, tag in verdicts if no_atoms} == {"commute-QQ"}
+    assert {no_atoms for no_atoms, _ in verdicts} == {True, False}
+
+
+@FUZZ
+@given(
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(KINDS),
+    dim=st.integers(1, 4),
+)
+def test_atom_sums_are_the_projections(fixtures, seed, kind, dim):
+    rep = random_representation(random.Random(seed), fixtures, kind, dim)
+    atoms = rep._atoms
+    for x, mask in atoms.masks.items():
+        assert atoms.matrix(mask) == rep._symbols[x]
+    assert atoms.matrix(atoms.full) == RatMat.identity(rep.dim)
+
+
 def test_zero_dimension(fix_c):
     rep = Representation(fix_c.table, 0, {f: RatMat(()) for f in fix_c.table.elements})
     assert rep._atoms.full == 0

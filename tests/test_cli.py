@@ -291,7 +291,7 @@ class TestBounds:
         kgr = tmp_path / "path.kgr"
         kgr.write_text("k: 1\nobjects: u v w\nedge: a 1 v u\nedge: b 1 w v\n")
         witness = "slice-witness: u (3,) uncovered ('a',)"
-        for bound in ("4", "20000"):
+        for bound in ("4", "20000", "1000000000"):
             code, text = run(["kgraph", "check", str(kgr), "--maxdeg", bound])
             assert code == 1
             assert witness in text.splitlines()

@@ -296,6 +296,17 @@ class TestSlices:
             with pytest.raises(DegreeOutOfRange):
                 degree_slice(fix_d, "v", n)
 
+    def test_empty_slice_is_not_stored(self):
+        # u <- v <- w: no morphism into u has degree 3, so that slice is
+        # empty and `slices` keeps no key for it
+        skeleton = KGraphSkeleton(
+            1, ("u", "v", "w"), (Edge("a", 1, "v", "u"), Edge("b", 1, "w", "v")), ()
+        )
+        kg = build_kgraph(skeleton, (4,))
+        assert degree_slice(kg, "u", (3,)).members == frozenset()
+        assert ("u", (3,)) not in kg.slices
+        assert all(kg.slices.values())
+
 
 class TestRfns:
     def test_fixtures_pass(self, fix_c, fix_d):
