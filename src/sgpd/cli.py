@@ -5,17 +5,12 @@ followed by a blank line and a human-readable summary; `--json` prints the
 machine section alone as JSON.  Identical inputs produce byte-identical
 machine sections.  Exit codes: 0 all checks passed, 1 a violation was
 found (witnesses printed), 2 malformed input or flags.
-
-SGPD_THREADS caps internal parallelism; the current implementation is
-sequential, so any positive cap is honoured trivially (the value is still
-validated).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -65,19 +60,6 @@ def _read(path: str) -> str:
 
 def _load_table(path: str) -> SemigroupoidTable:
     return formats.parse_sgpd(_read(path))
-
-
-def _threads() -> int:
-    raw = os.environ.get("SGPD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise formats.FormatError(f"SGPD_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise formats.FormatError("SGPD_THREADS must be at least 1")
-    return value
 
 
 def cmd_validate(args, report: Report) -> int:
@@ -406,7 +388,6 @@ def run(argv=None) -> tuple[int, str]:
     report = Report()
     report.add("verb", args.verb)
     try:
-        _threads()
         code = args.func(args, report)
     except (formats.FormatError, OSError) as exc:
         return 2, f"error: {exc}\n"

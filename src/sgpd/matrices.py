@@ -145,6 +145,9 @@ class RatMat:
     def is_projection(self) -> bool:
         return self == self.T and self @ self == self
 
+    def trace(self) -> Fraction:
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not RatMat:
             return NotImplemented
@@ -168,38 +171,3 @@ def join(projections: Iterable[RatMat], dim: int) -> RatMat:
     for p in projections:
         out = out + p - out @ p
     return out
-
-
-def hstack(mats: Sequence[RatMat]) -> RatMat:
-    n = mats[0].shape[0]
-    if any(m.shape[0] != n for m in mats):
-        raise ValueError("hstack needs equal row counts")
-    den = lcm(*(m.den for m in mats))
-    return _new(
-        tuple(
-            tuple(x * (den // m.den) for m in mats for x in m.num[i]) for i in range(n)
-        ),
-        den,
-    )
-
-
-def rank(mat: RatMat) -> int:
-    """Exact rank by fraction-free-enough Gaussian elimination."""
-    rows = [list(r) for r in mat.rows]
-    n, m = mat.shape
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == n:
-            break
-    return r

@@ -21,14 +21,15 @@ representation.  Each Q_f and P_f is then a bitmask over the atoms, so a
 meet is ``&``, a complement ``full & ~m`` and a join ``|``.  The masks of
 the projection symbols, the meet of a product and the matrix of a mask
 (the sum of the atoms under it) live on ``ProjectionAtoms``, the only
-route by which ``check_axioms`` and ``check_tight`` decide or build a
-projection; the presentation evaluator in ``relations`` reads the masks
-too.  ``check_axioms`` decides the S clauses on matrices, then (without
-atoms) reports the first commute clause that fails, or (with atoms)
-decides the other projection clauses on masks.  ``check_tight`` requires
-the atoms and raises ``NoProjectionAtoms`` (naming the first
+route by which ``check_axioms``, ``check_tight`` and ``category_tightness``
+decide or build a projection; the presentation evaluator in ``relations``
+reads the masks too.  ``check_axioms`` decides the S clauses on matrices,
+then (without atoms) reports the first commute clause that fails, or (with
+atoms) decides the other projection clauses on masks.  Both tightness
+checks require the atoms and raise ``NoProjectionAtoms`` (naming the first
 non-projection or non-commuting pair) when there are none, which never
-happens after the axioms pass.
+happens after the axioms pass; both turn every covering whose join mask
+differs from the right-hand mask into a ``TightFailure`` by one helper.
 
 Truncation conventions: artifact pairs are exempt from the zero clauses
 (their products exist beyond the bound).  The selector families and the
@@ -48,7 +49,7 @@ from typing import Iterable, Iterator, Mapping
 from .core import SemigroupoidTable, SgpdError, Witness, d_set
 from .covers import CoverSpec, is_partition, selector_families, target_coverings
 from .kgraph import KGraph
-from .matrices import RatMat, hstack, join, rank
+from .matrices import RatMat
 from .springs import find_springs
 
 
@@ -413,15 +414,27 @@ def check_tight(
             rhs &= atoms.initial[f]
         for g in forbidden:
             rhs &= ~atoms.initial[g]
-        if distinct == {rhs}:
-            continue
-        product = atoms.matrix(rhs)
-        for spec, lhs in zip(coverings, joins):
-            if lhs != rhs:
-                joined = atoms.matrix(lhs)
-                covering = tuple(sorted(spec.candidate))
-                failures.append(TightFailure(required, forbidden, covering, joined, product))
+        if distinct != {rhs}:
+            failures += _covering_failures(atoms, required, forbidden, coverings, joins, rhs)
     return TightnessReport(not failures, tuple(failures), families, coverings_checked)
+
+
+def _covering_failures(
+    atoms: ProjectionAtoms,
+    required: tuple[str, ...],
+    forbidden: tuple[str, ...],
+    coverings: list[CoverSpec],
+    joins: list[int],
+    rhs: int,
+) -> list[TightFailure]:
+    """A TightFailure for every covering whose join mask differs from the
+    right-hand mask, in order; both sides' matrices are read from the atoms."""
+    product = atoms.matrix(rhs)
+    return [
+        TightFailure(required, forbidden, tuple(sorted(spec.candidate)), atoms.matrix(lhs), product)
+        for spec, lhs in zip(coverings, joins)
+        if lhs != rhs
+    ]
 
 
 def _join_masks(
@@ -558,26 +571,32 @@ def category_tightness(
     """The per-object covering criterion: for every object v and every
     minimal covering H of its incoming morphisms, the join of final
     projections equals the final projection of v.  Under the nondegeneracy
-    surrogate (the stacked columns of all matrices and their transposes
-    span the space) this criterion is equivalent to full tightness."""
+    surrogate (the ranges of all S_f and S_f* span the space) this criterion
+    is equivalent to full tightness.
+
+    Decided on projection atoms, as check_tight is, so it raises
+    NoProjectionAtoms when there are none.  The range of S_f is that of P_f
+    and the range of S_f* that of Q_f, and the ranges of commuting
+    projections sum to the range of their join: the surrogate holds exactly
+    when the OR of every Q and P mask is full, and otherwise the rank
+    spanned is the trace of that join."""
     _require_same_table(rep, kg)
-    stacked = hstack(
-        [rep.mat(f) for f in sorted(kg.normal_form)]
-        + [rep.mat(f).T for f in sorted(kg.normal_form)]
-    )
-    if rank(stacked) != rep.dim:
+    atoms = rep._atoms
+    if atoms is None:
+        raise NoProjectionAtoms(_atoms_obstruction(rep))
+    spanned = 0
+    for f in kg.normal_form:
+        spanned |= atoms.initial[f] | atoms.final[f]
+    if spanned != atoms.full:
         raise DegenerateRepresentation(
-            f"combined ranges span rank {rank(stacked)} < dim {rep.dim}"
+            f"combined ranges span rank {atoms.matrix(spanned).trace()} < dim {rep.dim}"
         )
     failures = []
     coverings_checked = 0
     table = rep.table
     for v in sorted(kg.objects):
-        for spec in target_coverings(table, d_set(table, v), max_cover):
-            coverings_checked += 1
-            covering = tuple(sorted(spec.candidate))
-            lhs = join((rep.final(h) for h in covering), rep.dim)
-            rhs = rep.final(v)
-            if lhs != rhs:
-                failures.append(TightFailure((v,), (), covering, lhs, rhs))
+        coverings = target_coverings(table, d_set(table, v), max_cover)
+        coverings_checked += len(coverings)
+        joins, _ = _join_masks(table, atoms.final, coverings)
+        failures += _covering_failures(atoms, (v,), (), coverings, joins, atoms.final[v])
     return CategoryTightnessReport(not failures, tuple(failures), coverings_checked)

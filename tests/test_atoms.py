@@ -1,14 +1,17 @@
-"""Differential tests for the projection atoms: `check_axioms` and
-`check_tight` decide projection clauses on bitmasks over the atoms of the
-initial and final projections, and build matrices only for failures.
+"""Differential tests for the projection atoms: `check_axioms`,
+`check_tight` and `category_tightness` decide projection clauses on
+bitmasks over the atoms of the initial and final projections, and build
+matrices only for failures.
 
 Each is compared against the plain matrix computation written out here (the
-axioms) or in `test_memos.py` (tightness).  Inputs are partial permutations
-(0/1 matrices with at most one 1 per row and column, whose projections
-commute) conjugated by one rational orthogonal matrix per dimension, so the
-entries are non-unit fractions; most of them fail some axiom.  Tables are
-the golden-mean truncation at length 3, the fixtures c, d and e, and random
-DAG tables.
+axioms and the per-object criterion, whose nondegeneracy rank uses the
+Fraction oracles of `test_matrices.py`) or in `test_memos.py` (tightness).
+Inputs are partial permutations (0/1 matrices with at most one 1 per row
+and column, whose projections commute) conjugated by one rational
+orthogonal matrix per dimension, so the entries are non-unit fractions;
+most of them fail some axiom.  Tables are the golden-mean truncation at
+length 3, the fixtures c, d and e, and random DAG tables; the per-object
+criterion runs on fixtures c and d and on the 3- and 4-cycles.
 """
 
 from __future__ import annotations
@@ -22,22 +25,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgpd.reps
-from sgpd.core import SemigroupoidTable
-from sgpd.covers import BoundExceededError
+from sgpd.core import SemigroupoidTable, d_set
+from sgpd.covers import BoundExceededError, target_coverings
+from sgpd.kgraph import Edge, KGraphSkeleton, build_kgraph
 from sgpd.matrices import RatMat
 from sgpd.reps import (
     AxiomFailure,
     AxiomReport,
+    CategoryTightnessReport,
+    DegenerateRepresentation,
     NoProjectionAtoms,
     PreconditionUnmet,
     Representation,
+    TightFailure,
     axiom_clauses,
+    category_tightness,
     check_axioms,
     check_tight,
 )
 
 from conftest import random_dag_table
-from test_memos import HALF, ROTATION, ref_check_tight, ref_final, ref_initial, word_rep
+from test_matrices import ref_hstack, ref_rank
+from test_memos import (
+    HALF,
+    ROTATION,
+    ref_check_tight,
+    ref_final,
+    ref_initial,
+    ref_join,
+    word_rep,
+)
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -79,11 +96,35 @@ def ref_check_axioms(rep):
     return AxiomReport(True)
 
 
+def ref_category_tightness(rep, kg, max_cover=6):
+    """The per-object criterion on matrices: nondegeneracy as the rank of
+    every S_f and S_f* side by side, then the join of final projections
+    multiplied out covering by covering."""
+    morphisms = sorted(kg.normal_form)
+    mats = [rep.assign[f] for f in morphisms] + [rep.assign[f].T for f in morphisms]
+    spanned = ref_rank(ref_hstack([[list(row) for row in m.rows] for m in mats]))
+    if spanned != rep.dim:
+        raise DegenerateRepresentation(f"combined ranges span rank {spanned} < dim {rep.dim}")
+    table = rep.table
+    failures = []
+    coverings_checked = 0
+    for v in sorted(kg.objects):
+        for spec in target_coverings(table, d_set(table, v), max_cover):
+            coverings_checked += 1
+            covering = tuple(sorted(spec.candidate))
+            lhs = ref_join([ref_final(rep, h) for h in covering], rep.dim)
+            rhs = ref_final(rep, v)
+            if lhs != rhs:
+                failures.append(TightFailure((v,), (), covering, lhs, rhs))
+    return CategoryTightnessReport(not failures, tuple(failures), coverings_checked)
+
+
 def outcome(check, *args):
-    """The report, or the class and message of a precondition or bound error."""
+    """The report, or the class and message of a precondition, bound or
+    nondegeneracy error."""
     try:
         return check(*args)
-    except (PreconditionUnmet, BoundExceededError) as exc:
+    except (PreconditionUnmet, BoundExceededError, DegenerateRepresentation) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -187,6 +228,8 @@ def test_non_commuting_projections(fix_d):
     assert check_axioms(rep) == ref_check_axioms(rep)
     with pytest.raises(NoProjectionAtoms, match="do not commute"):
         check_tight(rep)
+    with pytest.raises(NoProjectionAtoms, match="do not commute"):
+        category_tightness(rep, fix_d)
 
 
 def test_non_projection_named(fix_e):
@@ -282,3 +325,85 @@ def test_zero_dimension(fix_c):
     assert rep._atoms.full == 0
     assert check_axioms(rep) == ref_check_axioms(rep)
     assert check_tight(rep) == ref_check_tight(rep)
+
+
+# ---- category_tightness against the matrix version
+
+
+def cycle(n, length):
+    """The n-cycle 1-graph v0 -> v1 -> ... -> v0, truncated at `length`."""
+    objects = tuple(f"v{i}" for i in range(n))
+    edges = tuple(Edge(f"e{i}", 1, objects[i], objects[(i + 1) % n]) for i in range(n))
+    return build_kgraph(KGraphSkeleton(1, objects, edges, ()), (length,))
+
+
+def block_word_rep(rng, kg, dim):
+    """Each object sent to the diagonal projection onto a block of basis
+    vectors (disjoint blocks, some vectors in none), each edge to a partial
+    permutation from its source's block into its range's block (often as
+    full as the blocks allow), and each morphism to the product along its
+    word; then conjugated."""
+    objects = sorted(kg.objects)
+    block = {v: [] for v in objects}
+    for i in range(dim):
+        if rng.random() < 0.85:
+            block[rng.choice(objects)].append(i)
+
+    def unit_sum(pairs):
+        return RatMat.from_rows([[int((r, c) in pairs) for c in range(dim)] for r in range(dim)])
+
+    letters = {}
+    for e in kg.skeleton.edges:
+        src, dst = block[e.src], block[e.dst]
+        size = min(len(src), len(dst))
+        size = size if rng.random() < 0.5 else rng.randint(0, size)
+        letters[e.name] = unit_sum(set(zip(rng.sample(dst, size), rng.sample(src, size))))
+    assign = {
+        t: reduce(
+            matmul,
+            (letters[e] for e in word),
+            unit_sum({(i, i) for i in block[kg.range[t]]}),
+        )
+        for t, word in kg.normal_form.items()
+    }
+    return conjugated(Representation(kg.table, dim, assign))
+
+
+def category_case(seed, kgraphs):
+    """(k-graph, representation) for one seed: word products or
+    independent per-element partial permutations, dims 1-3."""
+    rng = random.Random(seed)
+    kg = kgraphs[seed % len(kgraphs)]
+    dim = rng.randint(1, 3)
+    if seed // len(kgraphs) % 2:
+        return kg, block_word_rep(rng, kg, dim)
+    zero_share = rng.random()
+    assign = {
+        f: RatMat.zeros(dim) if rng.random() < zero_share else partial_permutation(rng, dim)
+        for f in sorted(kg.table.elements)
+    }
+    return kg, conjugated(Representation(kg.table, dim, assign))
+
+
+@pytest.fixture(scope="module")
+def kgraphs(fix_c, fix_d):
+    return fix_c, fix_d, cycle(3, 3), cycle(4, 4)
+
+
+def test_category_tightness_matches_matrices(kgraphs):
+    """The same report, or the same error and text, as the matrix version,
+    on inputs that are tight, fail coverings and are degenerate, and that
+    pass and fail the axioms (all with atoms)."""
+    outcomes, axioms = set(), set()
+    for seed in range(320):
+        kg, rep = category_case(seed, kgraphs)
+        assert rep._atoms is not None
+        got = outcome(category_tightness, rep, kg)
+        assert got == outcome(ref_category_tightness, rep, kg)
+        if isinstance(got, tuple):
+            outcomes.add(got[0])
+        else:
+            outcomes.add("tight" if got.tight else "failing")
+        axioms.add(bool(check_axioms(rep)))
+    assert outcomes == {"tight", "failing", "DegenerateRepresentation"}
+    assert axioms == {True, False}

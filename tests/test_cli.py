@@ -275,13 +275,13 @@ class TestVerbs:
         code, text = run(["relations", "--style", "kp", "--kgr", str(kgr), "--maxdeg", "3"])
         assert code == 0 and "rel: kp4:" in text
 
-    def test_threads_env_validated(self, golden_table, monkeypatch):
-        monkeypatch.setenv("SGPD_THREADS", "2")
-        code, _ = run(["validate", golden_table])
-        assert code == 0
-        monkeypatch.setenv("SGPD_THREADS", "zero")
-        code, _ = run(["validate", golden_table])
-        assert code == 2
+    def test_threads_env_ignored(self, golden_table, monkeypatch):
+        monkeypatch.delenv("SGPD_THREADS", raising=False)
+        unset = run(["validate", golden_table])
+        assert unset[0] == 0
+        for value in ("2", "zero", "-1"):
+            monkeypatch.setenv("SGPD_THREADS", value)
+            assert run(["validate", golden_table]) == unset
 
 
 class TestBounds:

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgpd.matrices import RatMat, hstack, join, rank
+from sgpd.matrices import RatMat, join
 
 
 def test_exact_arithmetic():
@@ -31,21 +31,6 @@ def test_shape_errors():
         RatMat.identity(2) @ RatMat.identity(3)
     with pytest.raises(ValueError):
         RatMat.identity(2) + RatMat.identity(3)
-
-
-def test_rank():
-    assert rank(RatMat.identity(3)) == 3
-    assert rank(RatMat.zeros(3)) == 0
-    assert rank(RatMat.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(RatMat.from_rows([[1, 2], [2, 4 + Fraction(1, 1000000)]])) == 2
-
-
-def test_hstack():
-    a = RatMat.identity(2)
-    b = RatMat.zeros(2)
-    stacked = hstack([a, b])
-    assert stacked.shape == (2, 4)
-    assert rank(stacked) == 2
 
 
 def test_str_uses_fraction_notation():
@@ -188,6 +173,7 @@ def ref_join(ps, dim):
     return out
 
 
+# ref_hstack and ref_rank are the nondegeneracy oracle of test_atoms
 def ref_hstack(mats):
     return [[x for a in mats for x in a[i]] for i in range(len(mats[0]))]
 
@@ -256,19 +242,9 @@ def test_predicates_and_text_match_fractions(pair):
     square = len(a) == (len(a[0]) if a else 0)
     if square:
         assert x.is_projection() == (a == ref_T(a) and ref_mul(a, a) == a)
-    assert rank(x) == ref_rank(a)
+        assert x.trace() == sum((row[i] for i, row in enumerate(a)), Fraction(0))
     assert str(x) == ref_str(a)
     assert repr(x) == ref_repr(a)
-
-
-@DIFF
-@given(same_shape(count=3))
-def test_hstack_matches_fractions(mats):
-    a, b, c = mats
-    x, y, z = (RatMat.from_rows(m) for m in mats)
-    if a:
-        assert agrees(hstack([x, y, z]), ref_hstack([a, b, c]))
-        assert rank(hstack([x, y])) == ref_rank(ref_hstack([a, b]))
 
 
 @DIFF
@@ -327,7 +303,6 @@ def test_zero_dimension():
     assert empty.is_zero() and empty.is_projection()
     assert empty @ empty == empty and empty + empty == empty and empty.T == empty
     assert join([empty, empty], 0) == empty
-    assert rank(empty) == 0
     assert str(empty) == "[]" and repr(empty) == "RatMat(rows=())"
 
 

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
 
 from sgpd.core import SemigroupoidTable
 from sgpd.kgraph import Edge, KGraphSkeleton, build_kgraph
+from sgpd.markov import Matrix01, build_markov
 from sgpd.matrices import RatMat
 from sgpd.reps import (
     CategoryFactsWitness,
+    CategoryTightnessReport,
     DegenerateRepresentation,
     DimensionMismatch,
     NotACategory,
@@ -290,3 +294,64 @@ class TestCategoryTightness:
     def test_degenerate_rep_rejected(self, fix_c):
         with pytest.raises(DegenerateRepresentation):
             category_tightness(zero_rep(fix_c.table, 1), fix_c)
+
+    def test_object_free_kgraph(self):
+        kg = build_kgraph(KGraphSkeleton(1, (), (), ()), (1,))
+        empty = Representation(kg.table, 0, {})
+        assert category_tightness(empty, kg) == CategoryTightnessReport(True, (), 0)
+        assert check_tight(empty).tight
+        with pytest.raises(DegenerateRepresentation, match=r"^combined ranges span rank 0 < dim 2$"):
+            category_tightness(Representation(kg.table, 2, {}), kg)
+
+    def test_overlapping_partition_is_a_precondition(self):
+        # two loops at v are a partition of its followers; sending both to
+        # the identity breaks the disjoint clause, which both checks report
+        skeleton = KGraphSkeleton(1, ("v",), (Edge("e", 1, "v", "v"), Edge("f", 1, "v", "v")), ())
+        kg = build_kgraph(skeleton, (2,))
+        rep = all_ones_rep(kg.table)
+        assert check_axioms(rep).failure.tag == "disjoint"
+        for check in (lambda: check_tight(rep), lambda: category_tightness(rep, kg)):
+            with pytest.raises(PreconditionUnmet, match="not orthogonal"):
+                check()
+
+
+class TestVacuity:
+    """On a Markov truncation of an irreducible matrix A with spectral
+    radius above 1, only the zero representation passes the axioms: the
+    ranks r of the letters' final projections satisfy r >= A r (domination
+    on composable pairs, orthogonality of distinct letters), and a positive
+    left Perron vector u gives u.r >= rho u.r, so r = 0."""
+
+    @staticmethod
+    def passing(rows, draws=200):
+        """The word-product representations (letters sent to random partial
+        permutations, dims 2-4) that pass the axioms at length 3."""
+        trunc = build_markov(Matrix01.from_rows(rows), 3)
+        out = []
+        for seed in range(draws):
+            rng = random.Random(seed)
+            dim, density = rng.randint(2, 4), rng.random()
+
+            def partial_permutation():
+                picked = [r for r in range(dim) if rng.random() < density]
+                cols = rng.sample(range(dim), len(picked))
+                return RatMat.from_rows(
+                    [[int((r, c) in zip(picked, cols)) for c in range(dim)] for r in range(dim)]
+                )
+
+            letters = {a: partial_permutation() for a in trunc.matrix.alphabet}
+            assign = {t: reduce(matmul, (letters[a] for a in w)) for t, w in trunc.words.items()}
+            rep = Representation(trunc.table, dim, assign)
+            if check_axioms(rep):
+                out.append(rep)
+        return out
+
+    @pytest.mark.parametrize("rows", [[[1, 1], [1, 0]], [[1, 1], [1, 1]], [[1] * 3] * 3])
+    def test_perron_above_one_passes_only_zero(self, rows):
+        reps = self.passing(rows)
+        assert reps
+        assert all(m.is_zero() for rep in reps for m in rep.assign.values())
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 0]], [[1, 1], [0, 1]]])
+    def test_control_passes_nonzero(self, rows):
+        assert any(not m.is_zero() for rep in self.passing(rows) for m in rep.assign.values())
