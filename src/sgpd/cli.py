@@ -117,7 +117,7 @@ def cmd_despring(args, report: Report) -> int:
     table = _load_table(args.table)
     extension = despring(table, args.mode)
     report.add("mode", args.mode)
-    report.add("springs", len(find_springs(table).springs))
+    report.add("springs", sum(len(c) for c in extension.idempotents.values()))
     report.add("adjoined", len(extension.idempotents))
     for token in sorted(extension.idempotents):
         report.add(f"class-{token}", " ".join(sorted(extension.idempotents[token])))

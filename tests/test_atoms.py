@@ -28,6 +28,7 @@ import sgpd.reps
 from sgpd.core import SemigroupoidTable, d_set
 from sgpd.covers import BoundExceededError, target_coverings
 from sgpd.kgraph import Edge, KGraphSkeleton, build_kgraph
+from sgpd.markov import build_markov
 from sgpd.matrices import RatMat
 from sgpd.reps import (
     AxiomFailure,
@@ -265,6 +266,57 @@ def test_atoms_build_no_commute_clause(monkeypatch, fixtures):
     assert [check_axioms(rep) for rep in reps] == want
     with pytest.raises(AssertionError, match="commute clause was drawn"):
         check_axioms(no_atoms)
+
+
+def test_no_annihilation_clause_drawn(monkeypatch, fixtures):
+    """check_axioms never draws an annihilation clause (they restate
+    product-zero): the annihilation stream is replaced by one that raises
+    when drawn, and the reports still match, with atoms and without."""
+    reps = [
+        random_representation(random.Random(seed), fixtures, KINDS[seed % len(KINDS)], 1 + seed % 4)
+        for seed in range(60)
+    ]
+    reps += [rank_one_representation(random.Random(seed)) for seed in range(20)]
+    want = [ref_check_axioms(rep) for rep in reps]
+    assert {report.ok for report in want} == {True, False}
+    assert {rep._atoms is None for rep in reps} == {True, False}
+
+    def drawn(table):
+        raise AssertionError("an annihilation clause was drawn")
+        yield
+
+    monkeypatch.setattr(sgpd.reps, "_annihilation_clauses", drawn)
+    assert [check_axioms(rep) for rep in reps] == want
+
+
+def test_atoms_multiply_only_products(monkeypatch, fixtures, golden):
+    """With atoms built beforehand, a passing check_axioms multiplies one
+    S_f S_g per composable pair and nothing else, on random DAG tables and
+    on the golden mean at length 4 (where only the zero representation
+    passes)."""
+    golden4 = build_markov(golden, 4).table
+    reps = [Representation(golden4, d, {t: RatMat.zeros(d) for t in golden4.elements}) for d in (1, 2, 3)]
+    for seed in range(200):
+        rep = random_representation(random.Random(seed), fixtures, "dag", 1 + seed % 3)
+        if ref_check_axioms(rep):
+            reps.append(rep)
+    assert any(
+        not (rep.assign[f] @ rep.assign[g]).is_zero() for rep in reps for f, g in rep.table.composable
+    )
+    product = RatMat.__matmul__
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    for rep in reps:
+        assert rep._atoms is not None
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(RatMat, "__matmul__", counted)
+            assert check_axioms(rep).ok
+        assert len(calls) == len(rep.table.composable)
 
 
 def rank_one_representation(rng):

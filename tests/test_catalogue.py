@@ -6,11 +6,11 @@ SHA-256 digests of rendered presentations are golden output: the checker
 and the emitter share one clause list, and neither may change what the
 other reports or renders.
 
-Two tags cannot be a first failure in exact arithmetic: `annihilation`
-checks Q_f P_g = S_f* (S_f S_g) S_g* = 0 on exactly the pairs where
-`product-zero` has already checked S_f S_g = 0, and `annihilation-derived`
-restates associativity.  The annihilation clause is still pinned through
-the emitted presentations.
+One tag cannot be a first failure in exact arithmetic: `annihilation`
+states Q_f P_g = S_f* (S_f S_g) S_g* = 0 on exactly the pairs where
+`product-zero` has already checked S_f S_g = 0, so `check_axioms` never
+draws it.  The annihilation clause is still pinned through the emitted
+presentations.
 """
 
 from __future__ import annotations

@@ -1,14 +1,19 @@
 import json
+import random
 
 import pytest
 
 import sgpd.cli
 import sgpd.kgraph
 import sgpd.markov
+import sgpd.springs
 from sgpd.cli import run
 from sgpd.formats import render_mat01, render_rep, render_sgpd
 from sgpd.markov import Matrix01, build_markov
 from sgpd.matrices import RatMat
+from sgpd.springs import find_springs
+
+from conftest import random_dag_table
 
 
 @pytest.fixture()
@@ -211,6 +216,28 @@ class TestVerbs:
         assert "adjoined: 1" in text
         code2, text2 = run(["validate", str(out)])
         assert code2 == 0
+
+    def test_despring_finds_springs_once(self, tmp_path, monkeypatch):
+        """The springs: line counts every spring with one spring search per
+        call, in both modes, on tables with springs."""
+        calls = []
+
+        def counted(table):
+            calls.append(table)
+            return find_springs(table)
+
+        monkeypatch.setattr(sgpd.springs, "find_springs", counted)
+        monkeypatch.setattr(sgpd.cli, "find_springs", counted)
+        src = tmp_path / "t.sgpd"
+        for seed in range(10):
+            table = random_dag_table(random.Random(seed), force_spring=True)
+            src.write_text(render_sgpd(table))
+            for mode in ("finest", "universal"):
+                calls.clear()
+                code, text = run(["despring", str(src), "--mode", mode])
+                assert code == 0
+                assert len(calls) == 1
+                assert f"\nsprings: {len(find_springs(table).springs)}\n" in text
 
     def test_covers_verb(self, golden_table):
         code, text = run(
