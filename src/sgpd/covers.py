@@ -13,12 +13,14 @@ intersects).  They are enumerated with MMCS (Murakami-Uno) after the
 families are reduced to the inclusion-minimal distinct ones, which keeps
 the hitting sets: Tr(H) = Tr(min H).
 
-The tightness scope is stated here once, for the checkers in ``reps``, the
-emitters in ``relations`` and the CLI.  Selector families (required,
-forbidden) are drawn from the non-boundary elements, and the required part
-starts with one element: an empty required part asserts a global
-nondegeneracy-style identity that a finite truncation cannot certify.  The
-coverings of a target set are pooled from the target minus the boundary.
+Both tightness scopes are stated here once, for the one decider in
+``reps``, the emitters in ``relations`` and the CLI.  Selector families
+(required, forbidden) are drawn from the non-boundary elements, and the
+required part starts with one element: an empty required part asserts a
+global nondegeneracy-style identity that a finite truncation cannot
+certify.  The per-object families of a category are ((v,), ()) with the
+followers of v (its incoming morphisms) as the target.  The coverings of a
+target set are pooled from the target minus the boundary.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .core import SemigroupoidTable, SgpdError, Witness, divides, intersects
+from .core import SemigroupoidTable, SgpdError, Witness, d_set, divides, intersects
 
 # search nodes the covering enumeration may visit before it gives up
 NODE_CAP = 200_000
@@ -264,3 +266,12 @@ def selector_families(
             if target not in coverings:
                 coverings[target] = target_coverings(table, target, max_cover)
             yield required, forbidden, coverings[target]
+
+
+def object_families(
+    table: SemigroupoidTable, objects: Iterable[str], max_cover: int
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], list[CoverSpec]]]:
+    """((v,), (), coverings) for every object v, in sorted order: the
+    per-object families, whose coverings are those of the followers of v."""
+    for v in sorted(objects):
+        yield (v,), (), target_coverings(table, d_set(table, v), max_cover)

@@ -17,7 +17,6 @@ than WORD_CAP of them is refused with ``BoundExceededError``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
@@ -112,13 +111,21 @@ def _vec_sub(a, b):
 
 
 def _box(bound: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every degree between 0 and `bound` componentwise, in lexicographic
-    order, lazily in every coordinate (however large the bound is), for the
-    degree bound's keys; a morphism's own degree box is small enough for
-    `itertools.product`, which is much faster per degree."""
-    if not bound:
-        return iter([()])
-    return ((x,) + rest for x in range(bound[0] + 1) for rest in _box(bound[1:]))
+    """Every degree between 0 and `bound` componentwise, lexicographically
+    and lazily, however large the bound and however many its components:
+    () for the empty bound, nothing when a component is negative."""
+    if any(b < 0 for b in bound):
+        return
+    n = [0] * len(bound)
+    while True:
+        yield tuple(n)
+        i = len(n) - 1
+        while i >= 0 and n[i] >= bound[i]:
+            n[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        n[i] += 1
 
 
 def _splits(
@@ -131,6 +138,17 @@ def _splits(
         if degrees[h] == _vec_sub(degrees[f], degrees[g]):
             out.setdefault((f, degrees[g]), []).append((g, h))
     return out
+
+
+def _split_walk(
+    table: SemigroupoidTable, degrees: Mapping[str, tuple[int, ...]]
+) -> Iterator[tuple[str, tuple[int, ...], list[tuple[str, str]]]]:
+    """(f, n, the factorisations of f at n) for every element f, sorted, and
+    every degree n in the box of d(f)."""
+    splits = _splits(table, degrees)
+    for f in sorted(table.elements):
+        for n in _box(degrees[f]):
+            yield f, n, splits.get((f, n), [])
 
 
 def _word_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
@@ -340,16 +358,13 @@ def build_kgraph(
     table = SemigroupoidTable.build(tokens, product, boundary, artifacts)
 
     # unique factorisation: every split of every degree has exactly one pair
-    splits = _splits(table, degree)
     factorizations: dict[tuple[str, tuple[int, ...]], tuple[str, str]] = {}
-    for f in tokens:
-        for n in itertools.product(*(range(d + 1) for d in degree[f])):
-            pairs = splits.get((f, n), [])
-            if len(pairs) != 1:
-                raise InconsistentSquares(
-                    f"morphism {f} splits at degree {n} into {len(pairs)} pairs: {pairs}"
-                )
-            factorizations[(f, n)] = pairs[0]
+    for f, n, pairs in _split_walk(table, degree):
+        if len(pairs) != 1:
+            raise InconsistentSquares(
+                f"morphism {f} splits at degree {n} into {len(pairs)} pairs: {pairs}"
+            )
+        factorizations[(f, n)] = pairs[0]
 
     return KGraph(
         skeleton,
@@ -487,14 +502,9 @@ def degree_check(
             violations.append(
                 DegreeViolation("additivity", (f, g, fg, degrees[f], degrees[g], degrees[fg]))
             )
-    splits = _splits(table, degrees)
-    for f in sorted(table.elements):
-        for n in itertools.product(*(range(d + 1) for d in degrees[f])):
-            pairs = splits.get((f, n), [])
-            if not pairs:
-                violations.append(DegreeViolation("no-factorization", (f, n)))
-            elif len(pairs) > 1:
-                violations.append(
-                    DegreeViolation("non-unique-factorization", (f, n, tuple(pairs)))
-                )
+    for f, n, pairs in _split_walk(table, degrees):
+        if not pairs:
+            violations.append(DegreeViolation("no-factorization", (f, n)))
+        elif len(pairs) > 1:
+            violations.append(DegreeViolation("non-unique-factorization", (f, n, tuple(pairs))))
     return DegreeReport(additive, tuple(violations))

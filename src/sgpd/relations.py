@@ -38,8 +38,8 @@ from itertools import combinations
 from operator import matmul, or_
 from typing import Mapping
 
-from .core import SemigroupoidTable, SgpdError, d_set
-from .covers import BoundExceededError, selector_families, target_coverings
+from .core import SemigroupoidTable, SgpdError
+from .covers import BoundExceededError, object_families, selector_families
 from .kgraph import KGraph, rfns_check
 from .markov import Matrix01, follow_weight
 from .matrices import RatMat, join
@@ -464,16 +464,10 @@ def emit_kumjian_pask(kg: KGraph, max_cover: int = 6) -> Presentation:
     for (v, n), members in kg.slices.items():
         terms = Add(tuple(sym["P", f] for f in sorted(members)))
         rels.append(Relation("kp4", sym["S", v], terms, note=f"object={v} degree={n}"))
-    for v in objects:
-        for spec in target_coverings(kg.table, d_set(kg.table, v), max_cover):
-            rels.append(
-                Relation(
-                    "kp-cover",
-                    sym["S", v],
-                    Join(tuple(sym["P", h] for h in sorted(spec.candidate))),
-                    note=f"object={v}",
-                )
-            )
+    for (v,), _, coverings in object_families(kg.table, objects, max_cover):
+        for spec in coverings:
+            joined = Join(tuple(sym["P", h] for h in sorted(spec.candidate)))
+            rels.append(Relation("kp-cover", sym["S", v], joined, note=f"object={v}"))
     return _finish("kumjian-pask", morphisms, rels)
 
 

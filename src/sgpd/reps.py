@@ -6,8 +6,10 @@ initial/final projections, orthogonality on disjoint pairs, domination on
 composable pairs) and against tightness: for each selector family the join
 of final projections over every minimal covering of the selected set must
 equal the corresponding product of initial projections and complements.
-The axioms are listed once, by ``axiom_clauses``, which the presentation
-emitter in ``relations`` maps over as well.
+The per-object criterion on a k-graph is the same relation with P_v on the
+right, and one decider runs both.  The axioms are listed once, by
+``axiom_clauses``, which the presentation emitter in ``relations`` maps
+over as well.
 
 All verdicts are exact; there are no tolerances.  The adjoint is the
 transpose (real entries).  Each representation computes its symbols S_f,
@@ -25,17 +27,17 @@ which ``check_axioms``, ``check_tight`` and ``category_tightness`` decide
 or build a projection; the presentation evaluator in ``relations`` reads
 the masks too.  With atoms, ``check_axioms`` multiplies out only the
 product clauses and decides the rest on masks; without, it checks the S
-clauses on matrices and reports the first failing commute clause.  Both
-tightness checks require the atoms and raise ``NoProjectionAtoms`` (naming
-the first non-projection or non-commuting pair) when there are none, which
-never happens after the axioms pass; both turn each covering whose join
-mask differs from the right-hand one into a ``TightFailure`` by one helper.
+clauses on matrices and reports the first failing commute clause.
+Tightness requires the atoms: both checks raise ``NoProjectionAtoms``
+(naming the first non-projection or non-commuting pair) when there are
+none, which never happens after the axioms pass, and both return a
+``TightnessReport``.
 
 Truncation conventions: artifact pairs are exempt from the zero clauses
-(their products exist beyond the bound).  The selector families and the
-covering pool are scoped as the ``covers`` module states; the families
-left out are exactly the ones the category criterion recovers under the
-nondegeneracy surrogate.
+(their products exist beyond the bound).  The selector families, the
+per-object families and the covering pool are scoped as the ``covers``
+module states; the selector families left out are exactly the ones the
+category criterion recovers under the nondegeneracy surrogate.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from operator import matmul
 from typing import Iterable, Iterator, Mapping
 
 from .core import SemigroupoidTable, SgpdError, Witness, d_set
-from .covers import CoverSpec, is_partition, selector_families, target_coverings
+from .covers import CoverSpec, is_partition, object_families, selector_families
 from .kgraph import KGraph
 from .matrices import RatMat
 from .springs import find_springs
@@ -209,15 +211,21 @@ def projection_atoms(rep: Representation) -> ProjectionAtoms | None:
     return ProjectionAtoms(initial, final, (1 << len(atoms)) - 1, matrices, rep.dim)
 
 
-def _atoms_obstruction(rep: Representation) -> str:
-    """Why a representation has no projection atoms: the first Q_f or P_f
-    that is not a projection, or else the first pair that does not commute."""
+def _required_atoms(rep: Representation) -> ProjectionAtoms:
+    """The projection atoms, which tightness is decided on; NoProjectionAtoms
+    names the first Q_f or P_f that is not a projection, or else the first
+    pair that does not commute, when there are none."""
+    atoms = rep._atoms
+    if atoms is not None:
+        return atoms
     symbols = rep._symbols
     for kind, f in _projections(sorted(rep.table.elements)):
         if not symbols[kind, f].is_projection():
-            return f"{kind}_{f} is not a projection: S_{f} is not a partial isometry"
+            raise NoProjectionAtoms(
+                f"{kind}_{f} is not a projection: S_{f} is not a partial isometry"
+            )
     a, b = _first_noncommuting(rep)[3]
-    return f"{a[0]}_{a[1]} and {b[0]}_{b[1]} do not commute"
+    raise NoProjectionAtoms(f"{a[0]}_{a[1]} and {b[0]}_{b[1]} do not commute")
 
 
 def _first_noncommuting(rep: Representation) -> Clause:
@@ -381,26 +389,32 @@ def check_tight(
 ) -> TightnessReport:
     """Tightness over all selector families with up to max_fg required and
     forbidden elements; every minimal covering of each selected set is
-    checked.  All failing families are collected (deterministically
-    ordered), not just the first.
+    checked, and all failing families are collected, in order.  A family's
+    product is the meet of its Q masks and Q complements on the atoms
+    (NoProjectionAtoms when there are none, never after the axioms pass)."""
+    atoms = _required_atoms(rep)
+    families = selector_families(rep.table, max_fg, max_cover)
+    return _tightness(rep.table, atoms, families, atoms.initial)
 
-    Decided on projection atoms, so it raises NoProjectionAtoms when there
-    are none (never after the axioms pass).  A family's product is the
-    meet of its Q masks and Q complements; each target's coverings are
-    grouped by join mask (with the partition self-check) once per call, so
-    a family costs one comparison per distinct join.  A failure's join of
-    final projections and product of initial projections and complements
-    are read from the atoms, as the sums of the atoms under their masks."""
-    atoms = rep._atoms
-    if atoms is None:
-        raise NoProjectionAtoms(_atoms_obstruction(rep))
-    table = rep.table
+
+def _tightness(
+    table: SemigroupoidTable,
+    atoms: ProjectionAtoms,
+    families: Iterable[tuple[tuple[str, ...], tuple[str, ...], list[CoverSpec]]],
+    select: Mapping[str, int],
+) -> TightnessReport:
+    """The covering relation over (required, forbidden, coverings) families:
+    each covering's join of final masks must equal the meet of the required
+    part's `select` masks and the forbidden part's complements.  Each
+    target's joins are found (with the partition self-check) once per call,
+    so a family costs one comparison per distinct join; a failure's matrices
+    are the sums of the atoms under its masks."""
     by_target: dict[frozenset[str], tuple[list[int], set[int]]] = {}
     failures = []
-    families = 0
+    families_checked = 0
     coverings_checked = 0
-    for required, forbidden, coverings in selector_families(table, max_fg, max_cover):
-        families += 1
+    for required, forbidden, coverings in families:
+        families_checked += 1
         coverings_checked += len(coverings)
         if not coverings:
             continue
@@ -410,30 +424,18 @@ def check_tight(
         joins, distinct = by_target[target]
         rhs = atoms.full
         for f in required:
-            rhs &= atoms.initial[f]
+            rhs &= select[f]
         for g in forbidden:
-            rhs &= ~atoms.initial[g]
+            rhs &= ~select[g]
         if distinct != {rhs}:
-            failures += _covering_failures(atoms, required, forbidden, coverings, joins, rhs)
-    return TightnessReport(not failures, tuple(failures), families, coverings_checked)
-
-
-def _covering_failures(
-    atoms: ProjectionAtoms,
-    required: tuple[str, ...],
-    forbidden: tuple[str, ...],
-    coverings: list[CoverSpec],
-    joins: list[int],
-    rhs: int,
-) -> list[TightFailure]:
-    """A TightFailure for every covering whose join mask differs from the
-    right-hand mask, in order; both sides' matrices are read from the atoms."""
-    product = atoms.matrix(rhs)
-    return [
-        TightFailure(required, forbidden, tuple(sorted(spec.candidate)), atoms.matrix(lhs), product)
-        for spec, lhs in zip(coverings, joins)
-        if lhs != rhs
-    ]
+            product = atoms.matrix(rhs)
+            for spec, lhs in zip(coverings, joins):
+                if lhs != rhs:
+                    covering = tuple(sorted(spec.candidate))
+                    failures.append(
+                        TightFailure(required, forbidden, covering, atoms.matrix(lhs), product)
+                    )
+    return TightnessReport(not failures, tuple(failures), families_checked, coverings_checked)
 
 
 def _join_masks(
@@ -554,35 +556,24 @@ def category_facts_check(rep: Representation, kg: KGraph):
     return True
 
 
-@dataclass(frozen=True)
-class CategoryTightnessReport:
-    tight: bool
-    failures: tuple[TightFailure, ...]
-    coverings_checked: int
-
-    def __bool__(self) -> bool:
-        return self.tight
-
-
 def category_tightness(
     rep: Representation, kg: KGraph, max_cover: int = 6
-) -> CategoryTightnessReport:
+) -> TightnessReport:
     """The per-object covering criterion: for every object v and every
     minimal covering H of its incoming morphisms, the join of final
     projections equals the final projection of v.  Under the nondegeneracy
     surrogate (the ranges of all S_f and S_f* span the space) this criterion
     is equivalent to full tightness.
 
-    Decided on projection atoms, as check_tight is, so it raises
-    NoProjectionAtoms when there are none.  The range of S_f is that of P_f
-    and the range of S_f* that of Q_f, and the ranges of commuting
-    projections sum to the range of their join: the surrogate holds exactly
-    when the OR of every Q and P mask is full, and otherwise the rank
-    spanned is the trace of that join."""
+    The decider of check_tight over `covers.object_families`, with P_v on
+    the right, so `families_checked` counts the objects; NoProjectionAtoms
+    when there are no atoms.  The range of S_f is that of P_f and the range
+    of S_f* that of Q_f, and the ranges of commuting projections sum to the
+    range of their join: the surrogate holds exactly when the OR of every Q
+    and P mask is full, and otherwise the rank spanned is the trace of that
+    join."""
     _require_same_table(rep, kg)
-    atoms = rep._atoms
-    if atoms is None:
-        raise NoProjectionAtoms(_atoms_obstruction(rep))
+    atoms = _required_atoms(rep)
     spanned = 0
     for f in kg.normal_form:
         spanned |= atoms.initial[f] | atoms.final[f]
@@ -590,12 +581,5 @@ def category_tightness(
         raise DegenerateRepresentation(
             f"combined ranges span rank {atoms.matrix(spanned).trace()} < dim {rep.dim}"
         )
-    failures = []
-    coverings_checked = 0
-    table = rep.table
-    for v in sorted(kg.objects):
-        coverings = target_coverings(table, d_set(table, v), max_cover)
-        coverings_checked += len(coverings)
-        joins, _ = _join_masks(table, atoms.final, coverings)
-        failures += _covering_failures(atoms, (v,), (), coverings, joins, atoms.final[v])
-    return CategoryTightnessReport(not failures, tuple(failures), coverings_checked)
+    families = object_families(rep.table, kg.objects, max_cover)
+    return _tightness(rep.table, atoms, families, atoms.final)

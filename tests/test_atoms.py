@@ -33,12 +33,12 @@ from sgpd.matrices import RatMat
 from sgpd.reps import (
     AxiomFailure,
     AxiomReport,
-    CategoryTightnessReport,
     DegenerateRepresentation,
     NoProjectionAtoms,
     PreconditionUnmet,
     Representation,
     TightFailure,
+    TightnessReport,
     axiom_clauses,
     category_tightness,
     check_axioms,
@@ -117,7 +117,7 @@ def ref_category_tightness(rep, kg, max_cover=6):
             rhs = ref_final(rep, v)
             if lhs != rhs:
                 failures.append(TightFailure((v,), (), covering, lhs, rhs))
-    return CategoryTightnessReport(not failures, tuple(failures), coverings_checked)
+    return TightnessReport(not failures, tuple(failures), len(kg.objects), coverings_checked)
 
 
 def outcome(check, *args):

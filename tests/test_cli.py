@@ -323,6 +323,19 @@ class TestBounds:
             assert code == 1
             assert witness in text.splitlines()
 
+    def test_many_colours_at_zero_bound(self, tmp_path):
+        # one object of rank 1200 at the zero bound: one degree to walk,
+        # however many colours
+        kgr = tmp_path / "rank1200.kgr"
+        kgr.write_text("k: 1200\nobjects: v\n")
+        bound = ",".join(["0"] * 1200)
+        code, text = run(["kgraph", "check", str(kgr), "--maxdeg", bound])
+        assert code == 0, text
+        assert "rfns: pass" in text.splitlines()
+        code, text = run(["relations", "--style", "kp", "--kgr", str(kgr), "--maxdeg", bound])
+        assert code == 0, text
+        assert "rel: kp-cover: (gen v) = (join (mul (gen v) (adj v)))" in text.splitlines()
+
     def test_relations_ck_refuses_nine_letters(self, tmp_path):
         mat = tmp_path / "ones9.mat01"
         mat.write_text(render_mat01(Matrix01.from_rows([[1] * 9] * 9)))

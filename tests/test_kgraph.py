@@ -1,3 +1,4 @@
+import random
 from itertools import product as iproduct
 from math import comb
 
@@ -213,6 +214,21 @@ def two_loops():
     return KGraphSkeleton(
         2, ("v",), (Edge("b", 1, "v", "v"), Edge("r", 2, "v", "v")), ((("b", "r"), ("r", "b")),)
     )
+
+
+class TestBox:
+    def test_matches_itertools_product(self):
+        rng = random.Random(0)
+        bounds = [(), (0,), (-1,), (2, -1, 3), (0,) * 5]
+        bounds += [tuple(rng.randint(-2, 3) for _ in range(rng.randint(0, 4))) for _ in range(400)]
+        for bound in bounds:
+            assert list(_box(bound)) == list(iproduct(*(range(b + 1) for b in bound))), bound
+
+    def test_many_components(self):
+        # one degree per component, with no recursion over the components
+        for k in (1000, 1500):
+            assert list(_box((0,) * k)) == [(0,) * k]
+        assert list(_box((0,) * 1499 + (2,))) == [(0,) * 1499 + (x,) for x in range(3)]
 
 
 class TestBuildMatchesDirectMethod:

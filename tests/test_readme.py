@@ -4,6 +4,7 @@ the README itself, so an edit that breaks one fails here."""
 from __future__ import annotations
 
 import re
+from ast import literal_eval
 from pathlib import Path
 
 from sgpd.cli import run
@@ -51,8 +52,11 @@ def test_rep_example_parses():
 
 
 def test_quick_start_runs(capsys):
-    """The zero representation passes the axioms and is tight; the last line
-    (whether both presentations agree on it) is printed, not asserted."""
+    """The zero representation passes the axioms and is tight, and the two
+    presentations disagree on it, as the README says after the block."""
     exec(compile(block("## Library quick start"), "README.md", "exec"), {})
     elements, tight, agree = capsys.readouterr().out.splitlines()
     assert tight.split()[0] == "True"
+    assert tight == "True 3080"
+    assert agree == "False"
+    assert len(literal_eval(elements)) == 18

@@ -34,6 +34,8 @@ from sgpd.relations import (
 from sgpd.reps import Representation, check_axioms, check_tight
 
 from conftest import all_ones_rep, unitary_rep, zero_edge_rep, zero_rep
+from test_indexes import two_vertex_skeleton
+from test_kgraph import two_loops
 
 
 class TestTerms:
@@ -171,6 +173,16 @@ class TestEmitKP:
             r.lhs == Mul((relations_adj("e"), Gen("e"))) and r.rhs == Gen("v")
             for r in kp3
         )
+
+    def test_cover_relations_are_the_object_families(self, fix_c, fix_d):
+        from sgpd.reps import category_tightness
+
+        two_vertices = build_kgraph(two_vertex_skeleton(), (2, 2))
+        for kg in (fix_c, fix_d, build_kgraph(two_loops(), (3, 2)), two_vertices):
+            covers = [r for r in emit_kumjian_pask(kg).relations if r.family == "kp-cover"]
+            report = category_tightness(unitary_rep(kg), kg)
+            assert len(covers) == report.coverings_checked > 0
+            assert report.families_checked == len(kg.objects)
 
     def test_sources_rejected(self):
         skeleton = KGraphSkeleton(1, ("u", "v"), (Edge("e", 1, "u", "v"),), ())

@@ -11,12 +11,12 @@ from sgpd.markov import Matrix01, build_markov
 from sgpd.matrices import RatMat
 from sgpd.reps import (
     CategoryFactsWitness,
-    CategoryTightnessReport,
     DegenerateRepresentation,
     DimensionMismatch,
     NotACategory,
     PreconditionUnmet,
     Representation,
+    TightnessReport,
     category_facts_check,
     category_tightness,
     check_axioms,
@@ -298,7 +298,7 @@ class TestCategoryTightness:
     def test_object_free_kgraph(self):
         kg = build_kgraph(KGraphSkeleton(1, (), (), ()), (1,))
         empty = Representation(kg.table, 0, {})
-        assert category_tightness(empty, kg) == CategoryTightnessReport(True, (), 0)
+        assert category_tightness(empty, kg) == TightnessReport(True, (), 0, 0)
         assert check_tight(empty).tight
         with pytest.raises(DegenerateRepresentation, match=r"^combined ranges span rank 0 < dim 2$"):
             category_tightness(Representation(kg.table, 2, {}), kg)
