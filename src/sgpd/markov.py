@@ -1,9 +1,12 @@
 """Markov semigroupoids: admissible words of a finite 0-1 matrix.
 
 Words compose by concatenation when the matrix allows the junction letter
-pair.  A truncation materialises all words up to a length bound; pairs
-whose concatenation would overflow the bound become artifact pairs and
-maximal-length words are flagged as boundary, so downstream spring and
+pair, as every walk of the letter graph reads it from the follower map
+`Matrix01.follows` (letter -> the letters that may follow it).  A
+truncation materialises all words up to a length bound: a word pairs with
+the words that start with a follower of its last letter, composably when
+the lengths fit and as an artifact pair when they overflow the bound.
+Maximal-length words are flagged as boundary, so downstream spring and
 tightness analysis never mistakes a cut word for a genuine dead end.
 
 Word-level disjointness is decided exactly and independently of any bound:
@@ -14,6 +17,7 @@ the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
@@ -42,6 +46,13 @@ class SpringRow(SgpdError):
     """The requested row of the matrix is zero; the letter heads no words."""
 
 
+class _Follows(dict):
+    """letter -> its followers; an unknown letter raises UnknownLetter."""
+
+    def __missing__(self, letter):
+        raise UnknownLetter(f"letter {letter!r} not in alphabet")
+
+
 @dataclass(frozen=True)
 class Matrix01:
     alphabet: tuple[str, ...]
@@ -65,24 +76,27 @@ class Matrix01:
             alphabet = tuple(str(i + 1) for i in range(len(rows)))
         return cls(tuple(alphabet), rows)
 
-    def index(self, letter: str) -> int:
-        try:
-            return self.alphabet.index(letter)
-        except ValueError:
-            raise UnknownLetter(f"letter {letter!r} not in alphabet") from None
+    @cached_property
+    def follows(self) -> _Follows:
+        """Each letter -> the 1-columns of its row, in alphabet order; besides
+        validation and `formats.render_mat01`, the only reader of `entries`."""
+        return _Follows(
+            (a, tuple(b for b, x in zip(self.alphabet, row) if x))
+            for a, row in zip(self.alphabet, self.entries)
+        )
 
     def entry(self, i: str, j: str) -> int:
-        return self.entries[self.index(i)][self.index(j)]
+        row, _ = self.follows[i], self.follows[j]
+        return int(j in row)
 
     def row_is_zero(self, letter: str) -> bool:
-        return all(x == 0 for x in self.entries[self.index(letter)])
+        return not self.follows[letter]
 
     def admissible(self, word: Sequence[str]) -> bool:
         if not word:
             return False
-        for letter in word:
-            self.index(letter)
-        return all(self.entry(a, b) == 1 for a, b in zip(word, word[1:]))
+        rows = [self.follows[a] for a in word]
+        return all(b in row for row, b in zip(rows, word[1:]))
 
 
 def word_token(matrix: Matrix01, word: Sequence[str]) -> str:
@@ -107,12 +121,7 @@ def enumerate_words(matrix: Matrix01, max_len: int) -> list[tuple[str, ...]]:
         if not level:
             break
         words.extend(level)
-        level = [
-            w + (b,)
-            for w in level
-            for b in matrix.alphabet
-            if matrix.entry(w[-1], b) == 1
-        ]
+        level = [w + (b,) for w in level for b in matrix.follows[w[-1]]]
     return words
 
 
@@ -135,16 +144,18 @@ def build_markov(matrix: Matrix01, max_len: int) -> MarkovTruncation:
     tokens = {w: word_token(matrix, w) for w in words}
     if len(set(tokens.values())) != len(words):
         raise SgpdError("word tokens collide; alphabet labels are ambiguous")
+    # each word pairs only with the words starting with a follower of its last letter
+    starting = {c: [w for w in words if w[0] == c] for c in matrix.alphabet}
     product = {}
     artifacts = set()
     for a in words:
-        for b in words:
-            if matrix.entry(a[-1], b[0]) != 1:
-                continue
-            if len(a) + len(b) <= max_len:
-                product[(tokens[a], tokens[b])] = tokens[a + b]
-            else:
-                artifacts.add((tokens[a], tokens[b]))
+        ta, room = tokens[a], max_len - len(a)
+        for c in matrix.follows[a[-1]]:
+            for b in starting[c]:
+                if len(b) <= room:
+                    product[(ta, tokens[b])] = tokens[a + b]
+                else:
+                    artifacts.add((ta, tokens[b]))
     boundary = frozenset(tokens[w] for w in words if len(w) == max_len)
     table = SemigroupoidTable.build(
         tokens.values(), product, boundary, artifacts
@@ -158,19 +169,19 @@ def _transfer_matrix_count(matrix: Matrix01, max_len: int) -> int:
     passes WORD_CAP, returning some number above the cap.  A step costs the
     alphabet size times (1 + the words it counts), so the whole count costs
     O(alphabet size x WORD_CAP) however large max_len is."""
-    follow = [[j for j, x in enumerate(row) if x] for row in matrix.entries]
-    total = len(follow)
-    ends = [1] * len(follow)  # words of the current length ending at each letter
+    follows = matrix.follows
+    total = len(follows)
+    ends = dict.fromkeys(follows, 1)  # words of the current length by last letter
     for _ in range(max_len - 1):
-        if total > WORD_CAP or not any(ends):
+        if total > WORD_CAP or not any(ends.values()):
             break
-        longer = [0] * len(follow)
-        for i, count in enumerate(ends):
+        longer = dict.fromkeys(follows, 0)
+        for a, count in ends.items():
             if count:
-                for j in follow[i]:
-                    longer[j] += count
+                for b in follows[a]:
+                    longer[b] += count
         ends = longer
-        total += sum(ends)
+        total += sum(ends.values())
     return total
 
 
@@ -190,22 +201,18 @@ def follow_weight(
 ) -> int:
     """1 when `letter` may follow every letter of `required` and none of
     `forbidden`, else 0 (a product of entries and complements)."""
-    matrix.index(letter)
-    out = 1
-    for x in required:
-        out *= matrix.entry(x, letter)
-    for y in forbidden:
-        out *= 1 - matrix.entry(y, letter)
-    return out
+    matrix.follows[letter]  # an unknown letter raises UnknownLetter
+    return int(letter in follower_letters(matrix, required, forbidden))
 
 
 def follower_letters(
     matrix: Matrix01, required: Iterable[str], forbidden: Iterable[str]
 ) -> frozenset[str]:
-    required, forbidden = list(required), list(forbidden)
-    return frozenset(
-        j for j in matrix.alphabet if follow_weight(matrix, required, forbidden, j)
-    )
+    """The letters that may follow every letter of `required` and none of
+    `forbidden`: a meet of follower sets, less their union."""
+    follows = matrix.follows
+    meet = set(matrix.alphabet).intersection(*(follows[x] for x in required))
+    return frozenset(meet.difference(*(follows[y] for y in forbidden)))
 
 
 @dataclass(frozen=True)
@@ -232,20 +239,20 @@ def graphable(matrix: Matrix01):
     are maps s, r into a vertex set with A(i,j)=1 iff s(i)=r(j).
 
     Decided by the block criterion (nonzero rows sharing a 1-column must be
-    identical); returns the lexicographically least violating quadruple
-    otherwise.  `graphable_oracle` searches for actual assignments and must
-    agree.
+    identical); otherwise returns the violating quadruple that comes first
+    in alphabet order when compared in the order (i, j2, i2, j), which is
+    not always the least in the order (i, j, i2, j2).  `graphable_oracle`
+    searches for actual assignments and must agree.
     """
-    letters = matrix.alphabet
+    letters, follows = matrix.alphabet, matrix.follows
     for i in letters:
+        row = follows[i]
         for j2 in letters:
-            if matrix.entry(i, j2) != 0:
+            if j2 in row:
                 continue
-            for i2 in letters:
-                if matrix.entry(i2, j2) != 1:
-                    continue
-                for j in letters:
-                    if matrix.entry(i, j) == 1 and matrix.entry(i2, j) == 1:
+            for i2 in (r for r in letters if j2 in follows[r]):
+                for j in row:
+                    if j in follows[i2]:
                         return GraphObstruction(i, j, i2, j2)
     return True
 
@@ -257,24 +264,20 @@ def graphable_oracle(matrix: Matrix01) -> bool:
     into at most |G| vertex ids; fresh vertices for zero rows / columns are
     always available and need no search.
     """
-    letters = matrix.alphabet
+    letters, follows = matrix.alphabet, matrix.follows
+    # the i with A(i,j)=1 for each j, and the i with A(i,j)=0
+    hits = {j: [i for i in letters if j in follows[i]] for j in letters}
+    misses = {j: [i for i in letters if j not in follows[i]] for j in letters}
     n = len(letters)
     for assignment in iproduct(range(n), repeat=n):
         s = dict(zip(letters, assignment))
-        ok = True
         for j in letters:
-            hits = [i for i in letters if matrix.entry(i, j) == 1]
-            if not hits:
-                continue  # r(j) gets a fresh vertex, never equal to any s(i)
-            targets = {s[i] for i in hits}
-            if len(targets) > 1:
-                ok = False
+            # r(j) is s(i) for every hit i; with no hits r(j) gets a fresh
+            # vertex, never equal to any s(i)
+            targets = {s[i] for i in hits[j]}
+            if len(targets) > 1 or any(s[i] in targets for i in misses[j]):
                 break
-            r_j = targets.pop()
-            if any(matrix.entry(i, j) == 0 and s[i] == r_j for i in letters):
-                ok = False
-                break
-        if ok:
+        else:
             return True
     return False
 
@@ -290,14 +293,12 @@ def enumerate_partitions(
     """All partitions of the words starting with `letter` whose members
     have length <= max_len, via cuts of the extension tree: each node is
     either taken whole or replaced by the cuts of all its children."""
-    matrix.index(letter)
+    matrix.follows[letter]  # an unknown letter raises UnknownLetter
 
     def cuts(word: tuple[str, ...]) -> list[frozenset[tuple[str, ...]]]:
         out = [frozenset([word])]
         if len(word) < max_len:
-            children = [
-                word + (b,) for b in matrix.alphabet if matrix.entry(word[-1], b) == 1
-            ]
+            children = [word + (b,) for b in matrix.follows[word[-1]]]
             if children:
                 combos = [frozenset()]
                 for child in children:
@@ -339,11 +340,11 @@ def first_letter_decomposition_check(
     continuation letter is nonempty and, stripped of the first letter, is
     again a partition one level down.  Returns True or the first failure.
     """
-    if matrix.row_is_zero(letter):
+    continuations = matrix.follows[letter]
+    if not continuations:
         raise SpringRow(f"row of {letter!r} is zero")
     if partitions is None:
         partitions = enumerate_partitions(matrix, letter, max_len)
-    continuations = [j for j in matrix.alphabet if matrix.entry(letter, j) == 1]
     universe = words_from(matrix, letter, max_len)
     stripped_universe = {j: words_from(matrix, j, max_len - 1) for j in continuations}
     for part in partitions:

@@ -41,7 +41,7 @@ from typing import Mapping
 from .core import SemigroupoidTable, SgpdError
 from .covers import BoundExceededError, object_families, selector_families
 from .kgraph import KGraph, rfns_check
-from .markov import Matrix01, follow_weight
+from .markov import Matrix01, follower_letters
 from .matrices import RatMat, join
 from .reps import ProjectionAtoms, Representation, Side, axiom_clauses
 
@@ -373,17 +373,23 @@ def emit_generic(
             factors = [sym["Q", f] for f in required]
             factors += [Compl(sym["Q", g]) for g in forbidden]
             rhs = Mul(tuple(factors))
-            note = "required=" + ",".join(required) + " forbidden=" + ",".join(forbidden)
+            note = _family_note(required, forbidden)
             for spec in coverings:
                 lhs = Join(tuple(sym["P", h] for h in sorted(spec.candidate)))
                 rels.append(Relation("tight", lhs, rhs, note))
     return _finish("tight" if tight else "toeplitz", table.elements, rels)
 
 
+def _family_note(required, forbidden) -> str:
+    """The note of a selector family's relation."""
+    return "required=" + ",".join(required) + " forbidden=" + ",".join(forbidden)
+
+
 def _subsets(items):
+    """Every subset of `items` as a sorted tuple, smallest first."""
     items = sorted(items)
     for size in range(len(items) + 1):
-        yield from (frozenset(c) for c in combinations(items, size))
+        yield from combinations(items, size)
 
 
 def emit_cuntz_krieger(matrix: Matrix01) -> Presentation:
@@ -402,41 +408,26 @@ def emit_cuntz_krieger(matrix: Matrix01) -> Presentation:
     for i in letters:
         s = sym["S", i]
         rels.append(Relation("tck1", Mul((s, sym["S*", i], s)), s))
-    for i, a in enumerate(letters):
-        for b in letters[i + 1 :]:
-            for kind in ("Q", "P"):
-                x, y = sym[kind, a], sym[kind, b]
-                rels.append(Relation("tck1", Mul((x, y)), Mul((y, x))))
+    for a, b in combinations(letters, 2):
+        for kind in ("Q", "P"):
+            x, y = sym[kind, a], sym[kind, b]
+            rels.append(Relation("tck1", Mul((x, y)), Mul((y, x))))
     for a in letters:
         for b in letters:
             q, p = sym["Q", a], sym["P", b]
             rels.append(Relation("tck1", Mul((q, p)), Mul((p, q))))
-    for a in letters:
-        for b in letters:
             if a != b:
                 rels.append(Relation("tck2", Mul((sym["S*", a], sym["S", b])), Zero()))
-    for a in letters:
-        for b in letters:
-            lhs = Mul((sym["Q", a], sym["P", b]))
-            rhs = sym["P", b] if matrix.entry(a, b) == 1 else Zero()
-            rels.append(Relation("tck3", lhs, rhs))
+            rhs = p if b in matrix.follows[a] else Zero()
+            rels.append(Relation("tck3", Mul((q, p)), rhs))
     for required in _subsets(letters):
         for forbidden in _subsets(letters):
-            lhs_factors: list[Term] = [sym["Q", x] for x in sorted(required)]
-            lhs_factors.extend(Compl(sym["Q", y]) for y in sorted(forbidden))
+            lhs_factors: list[Term] = [sym["Q", x] for x in required]
+            lhs_factors.extend(Compl(sym["Q", y]) for y in forbidden)
             lhs = Mul(tuple(lhs_factors)) if lhs_factors else One()
-            admitted = [
-                j
-                for j in letters
-                if follow_weight(matrix, sorted(required), sorted(forbidden), j)
-            ]
-            rhs = Add(tuple(sym["P", j] for j in admitted))
-            note = (
-                "required="
-                + ",".join(sorted(required))
-                + " forbidden="
-                + ",".join(sorted(forbidden))
-            )
+            admitted = follower_letters(matrix, required, forbidden)
+            rhs = Add(tuple(sym["P", j] for j in letters if j in admitted))
+            note = _family_note(required, forbidden)
             rels.append(Relation("el13", lhs, rhs, note))
     return _finish("cuntz-krieger", letters, rels)
 

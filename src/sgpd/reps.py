@@ -158,11 +158,18 @@ class ProjectionAtoms:
             out &= m
         return out
 
+    @cached_property
+    def _matrices(self) -> dict[int, RatMat]:
+        return {}
+
     def matrix(self, mask: int) -> RatMat:
         """The projection with this mask: the sum of the atoms under it
-        (exact, since the atoms are pairwise orthogonal)."""
-        under = (a for i, a in enumerate(self.atoms) if mask >> i & 1)
-        return sum(under, RatMat.zeros(self.dim))
+        (exact, since the atoms are pairwise orthogonal), built once per
+        mask."""
+        if mask not in self._matrices:
+            under = (a for i, a in enumerate(self.atoms) if mask >> i & 1)
+            self._matrices[mask] = sum(under, RatMat.zeros(self.dim))
+        return self._matrices[mask]
 
 
 def _projections(elements: list[str]) -> list[tuple[str, str]]:

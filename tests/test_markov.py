@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
@@ -10,6 +11,7 @@ from sgpd.markov import (
     InadmissibleWord,
     Matrix01,
     SpringRow,
+    UnknownLetter,
     build_markov,
     enumerate_partitions,
     enumerate_words,
@@ -176,6 +178,122 @@ class TestGraphable:
         for bits in iproduct((0, 1), repeat=4):
             matrix = Matrix01.from_rows([bits[:2], bits[2:]])
             assert (graphable(matrix) is True) == graphable_oracle(matrix)
+
+    def test_witness_is_least_in_loop_order(self):
+        # (1, 3, 2, 2) is the least violating quadruple in (i, j, i2, j2)
+        # order; the witness is the least in (i, j2, i2, j) order
+        matrix = Matrix01.from_rows([[0, 0, 1], [0, 1, 1], [1, 0, 1]])
+        verdict = graphable(matrix)
+        assert (verdict.i, verdict.j, verdict.i2, verdict.j2) == ("1", "3", "3", "1")
+        assert graphable_oracle(matrix) is False
+
+
+def _random_labelled_matrix(rng):
+    """1-4 letters, often a zero row, sometimes multi-character labels."""
+    n = rng.randint(1, 4)
+    rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.4:
+        rows[rng.randrange(n)] = [0] * n
+    labels = rng.sample(["a", "b", "ab", "c", "x1", "zz"], n) if rng.random() < 0.5 else None
+    return Matrix01.from_rows(rows, labels)
+
+
+def _entry(matrix, a, b):
+    """The matrix entry A(a, b), read from `entries`."""
+    return matrix.entries[matrix.alphabet.index(a)][matrix.alphabet.index(b)]
+
+
+class TestFollowerWalk:
+    """The follower map and the walks on it against the definitions read
+    from `entries`: every pair of words tested on its junction entry, and
+    follower sets as products of entries and complements."""
+
+    @staticmethod
+    def ref_pairs(matrix, max_len):
+        words = enumerate_words(matrix, max_len)
+        tokens = {w: word_token(matrix, w) for w in words}
+        product, artifacts = {}, set()
+        for a in words:
+            for b in words:
+                if _entry(matrix, a[-1], b[0]) != 1:
+                    continue
+                if len(a) + len(b) <= max_len:
+                    product[(tokens[a], tokens[b])] = tokens[a + b]
+                else:
+                    artifacts.add((tokens[a], tokens[b]))
+        boundary = frozenset(tokens[w] for w in words if len(w) == max_len)
+        return frozenset(tokens.values()), product, frozenset(artifacts), boundary
+
+    def test_build_matches_all_pairs(self):
+        rng = random.Random(20)
+        for _ in range(150):
+            matrix = _random_labelled_matrix(rng)
+            max_len = rng.randint(1, 5)
+            table = build_markov(matrix, max_len).table
+            elements, product, artifacts, boundary = self.ref_pairs(matrix, max_len)
+            assert table.elements == elements
+            assert table.product == product
+            assert table.artifact_pairs == artifacts
+            assert table.boundary == boundary
+
+    def test_follows_is_the_one_columns(self):
+        rng = random.Random(21)
+        for _ in range(100):
+            matrix = _random_labelled_matrix(rng)
+            for a, row in zip(matrix.alphabet, matrix.entries):
+                assert matrix.follows[a] == tuple(
+                    b for b, x in zip(matrix.alphabet, row) if x == 1
+                )
+                assert matrix.row_is_zero(a) == (not any(row))
+
+    def test_followers_match_products_of_entries(self):
+        rng = random.Random(22)
+        for _ in range(60):
+            matrix = _random_labelled_matrix(rng)
+            letters = matrix.alphabet
+            subsets = [c for r in range(len(letters) + 1) for c in combinations(letters, r)]
+            for required in subsets:
+                for forbidden in subsets:
+                    weights = {}
+                    for j in letters:
+                        w = 1
+                        for x in required:
+                            w *= _entry(matrix, x, j)
+                        for y in forbidden:
+                            w *= 1 - _entry(matrix, y, j)
+                        weights[j] = w
+                        assert follow_weight(matrix, required, forbidden, j) == w
+                    want = frozenset(j for j, w in weights.items() if w)
+                    assert follower_letters(matrix, required, forbidden) == want
+
+
+class TestUnknownLetter:
+    """Every reader of the follower map names the unknown letter."""
+
+    MESSAGE = "letter 'z' not in alphabet"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: m.entry("z", "1"),
+            lambda m: m.entry("1", "z"),
+            lambda m: m.row_is_zero("z"),
+            lambda m: m.admissible(("1", "z")),
+            lambda m: m.admissible(("z",)),
+            lambda m: word_disjoint(m, ("1",), ("z",)),
+            lambda m: follow_weight(m, [], [], "z"),
+            lambda m: follow_weight(m, ["z"], [], "1"),
+            lambda m: follow_weight(m, [], ["z"], "1"),
+            lambda m: follower_letters(m, ["z"], []),
+            lambda m: follower_letters(m, [], ["z"]),
+            lambda m: enumerate_partitions(m, "z", 3),
+            lambda m: first_letter_decomposition_check(m, "z", 3),
+        ],
+    )
+    def test_raises_with_the_letter(self, golden, call):
+        with pytest.raises(UnknownLetter) as info:
+            call(golden)
+        assert str(info.value) == self.MESSAGE
 
 
 class TestSpringsOfTruncation:

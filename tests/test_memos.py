@@ -172,6 +172,13 @@ def test_tight_report_matches_unmemoised(fix_c, fix_d, fix_e, golden3):
     assert check_tight(nilpotent_rep(fix_e)).failures[0].rhs == RatMat.from_rows([[0, 0], [0, 1]])
 
 
+def test_atom_matrix_built_once_per_mask(fix_d):
+    atoms = projection_atoms(unitary_rep(fix_d))
+    for mask in (0, atoms.full):
+        assert atoms.matrix(mask) is atoms.matrix(mask)
+    assert atoms.matrix(atoms.full) == RatMat.identity(atoms.dim)
+
+
 def test_tight_self_check_raises_like_unmemoised(golden3):
     rep = all_ones_rep(golden3.table)
     with pytest.raises(PreconditionUnmet) as want:
