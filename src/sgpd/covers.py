@@ -21,13 +21,18 @@ global nondegeneracy-style identity that a finite truncation cannot
 certify.  The per-object families of a category are ((v,), ()) with the
 followers of v (its incoming morphisms) as the target.  The coverings of a
 target set are pooled from the target minus the boundary.
+
+The selector scope also comes keyed (``selector_groups``), for a decider
+that meets each distinct key pair once however many families share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from typing import Iterable, Iterator
+from operator import and_, or_
+from typing import Iterable, Iterator, Mapping
 
 from .core import SemigroupoidTable, SgpdError, Witness, d_set, divides, intersects
 
@@ -244,6 +249,60 @@ def target_coverings(
     return minimal_coverings(table, target, max_size, pool=target - table.boundary)
 
 
+# a selector part (required or forbidden) and its key: the meet (or union)
+# of its members' full followers with the AND (or OR) of their labels
+Keyed = tuple[tuple[str, ...], tuple[frozenset[str], int]]
+
+
+def _selector_parts(
+    table: SemigroupoidTable, max_fg: int, label: Mapping[str, int]
+) -> tuple[list[Keyed], list[Keyed]]:
+    """Every required part (1 to `max_fg` non-boundary elements) with its
+    key (meet, AND), and every forbidden part, the empty one first, with
+    its key (union, OR); each list by size, then lexicographically.  A key
+    is formed once per distinct tuple of its members' (full followers,
+    label) classes."""
+    active = sorted(table.elements - table.boundary)
+    sizes = range(1, min(max_fg, len(active)) + 1)
+    subsets = [c for size in sizes for c in combinations(active, size)]
+    full = table.full_followers
+    classes: dict[tuple[frozenset[str], int], int] = {}
+    kind = {f: classes.setdefault((full[f], label[f]), len(classes)) for f in active}
+    values = list(classes)
+
+    def keyed(combine) -> list[Keyed]:
+        memo = {}
+        out = []
+        for s in subsets:
+            kinds = tuple(map(kind.__getitem__, s))
+            key = memo.get(kinds)
+            if key is None:
+                sets, labels = zip(*(values[k] for k in kinds))
+                key = combine(sets, labels)
+                memo[kinds] = key
+            out.append((s, key))
+        return out
+
+    required = keyed(lambda sets, labels: (frozenset.intersection(*sets), reduce(and_, labels)))
+    forbidden = [((), (frozenset(), 0))]
+    forbidden += keyed(lambda sets, labels: (frozenset().union(*sets), reduce(or_, labels)))
+    return required, forbidden
+
+
+def _families(table: SemigroupoidTable, required: list, forbidden: list, max_cover: int):
+    """(required, forbidden, mask, coverings) for every pair of entries
+    (part, (followers, mask)), required first: the coverings of the
+    required followers less the forbidden ones, computed once per distinct
+    target, and the required mask less the forbidden one."""
+    coverings: dict[frozenset[str], list[CoverSpec]] = {}
+    for r, (meet, kept) in required:
+        for f, (union, dropped) in forbidden:
+            target = meet - union
+            if target not in coverings:
+                coverings[target] = target_coverings(table, target, max_cover)
+            yield r, f, kept & ~dropped, coverings[target]
+
+
 def selector_families(
     table: SemigroupoidTable, max_fg: int, max_cover: int
 ) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], list[CoverSpec]]]:
@@ -251,21 +310,34 @@ def selector_families(
     `max_fg` required (at least one) and forbidden non-boundary elements,
     each part sorted; the coverings are those of the family's full common
     followers, computed once per distinct target."""
-    active = sorted(table.elements - table.boundary)
-    sizes = range(1, min(max_fg, len(active)) + 1)
-    subsets = [c for size in sizes for c in combinations(active, size)]
-    # a target is the meet of the required parts' full followers minus the
-    # union of the forbidden parts'; both are taken once per subset
-    full = table.full_followers
-    meets = [frozenset.intersection(*(full[f] for f in s)) for s in subsets]
-    unions = [frozenset()] + [frozenset().union(*(full[f] for f in s)) for s in subsets]
-    coverings: dict[frozenset[str], list[CoverSpec]] = {}
-    for required, meet in zip(subsets, meets):
-        for forbidden, union in zip([()] + subsets, unions):
-            target = meet - union
-            if target not in coverings:
-                coverings[target] = target_coverings(table, target, max_cover)
-            yield required, forbidden, coverings[target]
+    required, forbidden = _selector_parts(table, max_fg, dict.fromkeys(table.elements, 0))
+    for r, f, _, coverings in _families(table, required, forbidden, max_cover):
+        yield r, f, coverings
+
+
+def selector_groups(
+    table: SemigroupoidTable, max_fg: int, max_cover: int, label: Mapping[str, int]
+) -> Iterator[tuple[list[tuple[str, ...]], list[tuple[str, ...]], int, list[CoverSpec]]]:
+    """The selector families grouped by key, as (requireds, forbiddens,
+    mask, coverings): each family of `selector_families` is in exactly one
+    requireds x forbiddens, with the group's coverings and mask.
+
+    A required part's key is the meet of its members' full followers with
+    the AND of their labels (bitmasks), a forbidden part's the union with
+    the OR; a family's target is the meet less the union, its mask the AND
+    less the OR.  Groups come in the order of their first family, so
+    targets, and any error their coverings raise, are reached in the order
+    of `selector_families`."""
+    required, forbidden = _selector_parts(table, max_fg, label)
+    yield from _families(table, _by_key(required), _by_key(forbidden), max_cover)
+
+
+def _by_key(parts: list[Keyed]) -> list[tuple[list[tuple[str, ...]], tuple[frozenset[str], int]]]:
+    """(parts, key) for every distinct key, in the order of first parts."""
+    groups: dict[tuple[frozenset[str], int], list[tuple[str, ...]]] = {}
+    for s, key in parts:
+        groups.setdefault(key, []).append(s)
+    return [(members, key) for key, members in groups.items()]
 
 
 def object_families(

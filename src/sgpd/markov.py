@@ -192,8 +192,13 @@ def word_disjoint(matrix: Matrix01, a: Sequence[str], b: Sequence[str]) -> bool:
     for w in (a, b):
         if not matrix.admissible(w):
             raise InadmissibleWord(f"{w} is not admissible")
+    return not _nested(a, b)
+
+
+def _nested(a: Sequence[str], b: Sequence[str]) -> bool:
+    """One word is an initial segment of the other."""
     shorter = min(len(a), len(b))
-    return a[:shorter] != b[:shorter]
+    return a[:shorter] == b[:shorter]
 
 
 def follow_weight(
@@ -317,16 +322,32 @@ class LemmaWitness(Witness):
     detail: tuple
 
 
-def _is_partition_of_words(matrix, members, universe):
+def _is_partition_of_words(members, universe):
+    """True, or why the admissible words `members` do not partition the
+    admissible words `universe`: the first intersecting pair of members in
+    sorted order, else the first universe word that meets no member.
+
+    In sorted order a word precedes its extensions and every word between
+    them, so the first member with an extension among the later members
+    is followed by one: only neighbours need comparing."""
     members = sorted(members)
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if not word_disjoint(matrix, a, b):
-                return LemmaWitness("intersecting-pair", (a, b))
+    for a, b in zip(members, members[1:]):
+        if _nested(a, b):
+            return LemmaWitness("intersecting-pair", (a, b))
     for w in universe:
-        if all(word_disjoint(matrix, w, h) for h in members):
+        if not any(_nested(w, h) for h in members):
             return LemmaWitness("uncovered-word", (w,))
     return True
+
+
+def _admissible_parts(matrix: Matrix01, partitions: Iterable[frozenset[tuple[str, ...]]]):
+    """Each partition, once its words are admissible; InadmissibleWord names
+    the first word of a partition, in sorted order, that is not."""
+    for part in partitions:
+        for w in sorted(part):
+            if not matrix.admissible(w):
+                raise InadmissibleWord(f"{tuple(w)} is not admissible")
+        yield part
 
 
 def first_letter_decomposition_check(
@@ -339,16 +360,20 @@ def first_letter_decomposition_check(
     singleton {letter} or decomposes by second letter: the block of each
     continuation letter is nonempty and, stripped of the first letter, is
     again a partition one level down.  Returns True or the first failure.
+    The words of caller-supplied partitions are checked admissible, each
+    partition before it is decided; enumerated words are admissible.
     """
     continuations = matrix.follows[letter]
     if not continuations:
         raise SpringRow(f"row of {letter!r} is zero")
     if partitions is None:
         partitions = enumerate_partitions(matrix, letter, max_len)
+    else:
+        partitions = _admissible_parts(matrix, partitions)
     universe = words_from(matrix, letter, max_len)
     stripped_universe = {j: words_from(matrix, j, max_len - 1) for j in continuations}
     for part in partitions:
-        verdict = _is_partition_of_words(matrix, part, universe)
+        verdict = _is_partition_of_words(part, universe)
         if verdict is not True:
             return verdict
         if part == frozenset([(letter,)]):
@@ -361,7 +386,7 @@ def first_letter_decomposition_check(
                 return LemmaWitness("missing-continuation", (j,))
         for j in continuations:
             stripped = frozenset(w[1:] for w in blocks[j])
-            verdict = _is_partition_of_words(matrix, stripped, stripped_universe[j])
+            verdict = _is_partition_of_words(stripped, stripped_universe[j])
             if verdict is not True:
                 return LemmaWitness("stripped-not-partition", (j, verdict))
     return True

@@ -25,13 +25,13 @@ the projection symbols, the meet of a product and the matrix of a mask (the
 sum of the atoms under it) live on ``ProjectionAtoms``, the only route by
 which ``check_axioms``, ``check_tight`` and ``category_tightness`` decide
 or build a projection; the presentation evaluator in ``relations`` reads
-the masks too.  With atoms, ``check_axioms`` multiplies out only the
-product clauses and decides the rest on masks; without, it checks the S
-clauses on matrices and reports the first failing commute clause.
-Tightness requires the atoms: both checks raise ``NoProjectionAtoms``
-(naming the first non-projection or non-commuting pair) when there are
-none, which never happens after the axioms pass, and both return a
-``TightnessReport``.
+the masks too.  With atoms, ``check_axioms`` multiplies out the product
+clauses once per distinct (S_f, S_g) and decides the rest on masks;
+without, it checks the S clauses on matrices and reports the first
+failing commute clause.  Tightness requires the atoms: both checks raise
+``NoProjectionAtoms`` (naming the first non-projection or non-commuting
+pair) when there are none, which never happens after the axioms pass,
+and both return a ``TightnessReport``, deciding families by key.
 
 Truncation conventions: artifact pairs are exempt from the zero clauses
 (their products exist beyond the bound).  The selector families, the
@@ -49,7 +49,7 @@ from operator import matmul
 from typing import Iterable, Iterator, Mapping
 
 from .core import SemigroupoidTable, SgpdError, Witness, d_set
-from .covers import CoverSpec, is_partition, object_families, selector_families
+from .covers import CoverSpec, is_partition, object_families, selector_groups
 from .kgraph import KGraph
 from .matrices import RatMat
 from .springs import find_springs
@@ -282,6 +282,23 @@ def axiom_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
     return chain.from_iterable(family(table) for family in families)
 
 
+# the pair clauses: tag -> the sides (lhs, rhs) of the clause on (f, g),
+# whose product fg is None unless the pair is composable
+_PAIR_SIDES = {
+    "product": lambda f, g, fg: ((("S", f), ("S", g)), (("S", fg),)),
+    "product-zero": lambda f, g, fg: ((("S", f), ("S", g)), None),
+    "disjoint": lambda f, g, fg: ((("P", f), ("P", g)), None),
+    "domination": lambda f, g, fg: ((("Q", f), ("P", g)), (("P", g),)),
+    "annihilation": lambda f, g, fg: ((("Q", f), ("P", g)), None),
+}
+
+
+def _pair_clause(table: SemigroupoidTable, tag: str, f: str, g: str) -> Clause:
+    """The clause `tag` on the pair (f, g)."""
+    lhs, rhs = _PAIR_SIDES[tag](f, g, table.product.get((f, g)))
+    return tag, tag, (f, g), lhs, rhs
+
+
 def _s_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
     """Partial-isometry, product and product-zero clauses."""
     elements = sorted(table.elements)
@@ -290,11 +307,10 @@ def _s_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
         yield "partial-isometry", "pisom", (f,), (s, ("S*", f), s), (s,)
     for f in elements:
         for g in elements:
-            lhs = (("S", f), ("S", g))
             if (f, g) in table.composable:
-                yield "product", "product", (f, g), lhs, (("S", table.product[(f, g)]),)
+                yield _pair_clause(table, "product", f, g)
             elif (f, g) not in table.artifact_pairs:
-                yield "product-zero", "product-zero", (f, g), lhs, None
+                yield _pair_clause(table, "product-zero", f, g)
 
 
 def _commute_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
@@ -313,32 +329,29 @@ def _projection_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
     for i, f in enumerate(elements):
         for g in elements[i + 1 :]:
             if multiples[f].isdisjoint(multiples[g]):
-                yield "disjoint", "disjoint", (f, g), (("P", f), ("P", g)), None
-    for (f, g) in sorted(table.composable):
-        yield "domination", "domination", (f, g), (("Q", f), ("P", g)), (("P", g),)
+                yield _pair_clause(table, "disjoint", f, g)
+    for f, g in sorted(table.composable):
+        yield _pair_clause(table, "domination", f, g)
 
 
 def _annihilation_clauses(table: SemigroupoidTable) -> Iterator[Clause]:
     """Q_f P_g = 0 on the pairs of the product-zero clauses, in their order."""
     for tag, _, els, _, _ in _s_clauses(table):
         if tag == "product-zero":
-            yield "annihilation", "annihilation", els, (("Q", els[0]), ("P", els[1])), None
+            yield _pair_clause(table, "annihilation", *els)
 
 
 def check_axioms(rep: Representation) -> AxiomReport:
     """All representation axioms, exactly, in the order of axiom_clauses;
     the report carries the first failure and the matrices of its sides.
 
-    1. The S clauses.  With atoms every Q_f is a projection, so every S_f
-       is a partial isometry (for real matrices Q_f^2 = Q_f exactly when
-       S_f S_f* S_f = S_f), and product-zero is Q_f P_g = 0 on masks
-       (S_f S_g = S_f (Q_f P_g) S_g, Q_f P_g = S_f* (S_f S_g) S_g*): only
-       the product clauses are multiplied out.  Without atoms, all of them.
-    2. Without atoms, the first failing commute clause: once every S_f is
-       a partial isometry, every Q_f and P_f is a projection, so two of
-       them do not commute.
-    3. With atoms, the disjoint and domination clauses on masks; the
-       annihilation clauses restate product-zero and are never drawn.
+    With atoms the clauses are decided in bulk (`_first_failure_on_atoms`),
+    and only the product clauses and the failure's sides are multiplied
+    out.  Without atoms, every S clause is multiplied out, and then the
+    first failing commute clause is reported: once every S_f is a partial
+    isometry, every Q_f and P_f is a projection, so two of them do not
+    commute.  The annihilation clauses restate product-zero and are never
+    drawn.
     """
     zero = RatMat.zeros(rep.dim)
     mats = rep._symbols
@@ -347,28 +360,75 @@ def check_axioms(rep: Representation) -> AxiomReport:
     def value(side):
         return zero if side is None else reduce(matmul, (mats[x] for x in side))
 
-    def fail(tag, els, got, want):
-        return AxiomReport(False, AxiomFailure(tag, els, got, want))
+    if atoms is not None:
+        clause = _first_failure_on_atoms(rep, atoms)
+    else:
+        clauses = (c for c in _s_clauses(rep.table) if value(c[3]) != value(c[4]))
+        clause = next(clauses, None) or _first_noncommuting(rep)
+    if clause is None:
+        return AxiomReport(True)
+    tag, _, els, lhs, rhs = clause
+    return AxiomReport(False, AxiomFailure(tag, els, value(lhs), value(rhs)))
 
-    for tag, _, els, lhs, rhs in _s_clauses(rep.table):
-        if atoms is None or tag == "product":
-            holds = value(lhs) == value(rhs)
-        else:  # with atoms a partial isometry holds; product-zero is Q_f P_g = 0
-            holds = tag == "partial-isometry" or not atoms.initial[els[0]] & atoms.final[els[1]]
-        if not holds:
-            return fail(tag, els, value(lhs), value(rhs))
-    if atoms is None:
-        tag, _, els, lhs, rhs = _first_noncommuting(rep)
-        return fail(tag, els, value(lhs), value(rhs))
-    masks = atoms.masks
 
-    def meet(side):
-        return 0 if side is None else atoms.meet([masks[x] for x in side])
+def _first_failure_on_atoms(rep: Representation, atoms: ProjectionAtoms) -> Clause | None:
+    """The first failing axiom clause, with atoms, or None: the least
+    failing pair of the first clause family that fails, product and
+    product-zero counting as one family in (f, g) order.
 
-    for tag, _, els, lhs, rhs in _projection_clauses(rep.table):
-        if meet(lhs) != meet(rhs):
-            return fail(tag, els, value(lhs), value(rhs))
-    return AxiomReport(True)
+    Partial isometry and commute hold (for real matrices Q_f^2 = Q_f
+    exactly when S_f S_f* S_f = S_f).  Product multiplies each distinct
+    (S_f, S_g) once.  Product-zero is Q_f P_g = 0 (S_f S_g = S_f (Q_f P_g)
+    S_g, Q_f P_g = S_f* (S_f S_g) S_g*): it fails at the g with an atom of
+    Q_f under P_g, less the full followers of f.  Disjoint fails at the
+    g > f with an atom of P_f under P_g, less the elements that intersect
+    f; domination where P_g is not under Q_f, g a follower of f.  A row
+    with a zero mask reads no follower or multiple index."""
+    table = rep.table
+    initial, final = atoms.initial, atoms.final
+    elements = sorted(table.elements)
+    meeting = [set() for _ in atoms.atoms]  # atom i -> the g with atom i under P_g
+    for g, p in final.items():
+        for i in range(p.bit_length()):
+            if p >> i & 1:
+                meeting[i].add(g)
+
+    def meets(mask: int) -> set[str]:
+        """The g whose P_g has an atom under the mask."""
+        return set().union(*(m for i, m in enumerate(meeting) if mask >> i & 1))
+
+    index: dict[RatMat, int] = {}
+    kind = {f: index.setdefault(s, len(index)) for f, s in rep.assign.items()}
+    matrices = list(index)
+    products: dict[tuple[int, int], int] = {}  # the kind of S_f S_g, -1 for none
+    failing = []
+    for (f, g), fg in table.product.items():
+        pair = kind[f], kind[g]
+        if pair not in products:
+            products[pair] = index.get(matrices[pair[0]] @ matrices[pair[1]], -1)
+        if products[pair] != kind[fg]:
+            failing.append(("product", (f, g)))
+    for f in elements:
+        if initial[f]:
+            wrong = meets(initial[f]) - table.full_followers[f]
+            if wrong:
+                failing.append(("product-zero", (f, min(wrong))))
+                break
+    if not failing:
+        for f in elements:
+            if final[f]:
+                multiples = table.multiples
+                later = sorted(g for g in meets(final[f]) if g > f)
+                g = next((g for g in later if multiples[f].isdisjoint(multiples[g])), None)
+                if g is not None:
+                    return _pair_clause(table, "disjoint", f, g)
+        failing = [
+            ("domination", (f, g)) for f, g in table.composable if final[g] & ~initial[f]
+        ]
+    if not failing:
+        return None
+    tag, (f, g) = min(failing, key=lambda fail: fail[1])
+    return _pair_clause(table, tag, f, g)
 
 
 @dataclass(frozen=True)
@@ -398,51 +458,54 @@ def check_tight(
     forbidden elements; every minimal covering of each selected set is
     checked, and all failing families are collected, in order.  A family's
     product is the meet of its Q masks and Q complements on the atoms
-    (NoProjectionAtoms when there are none, never after the axioms pass)."""
+    (NoProjectionAtoms when there are none, never after the axioms pass),
+    so the families are decided by key (`covers.selector_groups`)."""
     atoms = _required_atoms(rep)
-    families = selector_families(rep.table, max_fg, max_cover)
-    return _tightness(rep.table, atoms, families, atoms.initial)
+    groups = selector_groups(rep.table, max_fg, max_cover, atoms.initial)
+    return _tightness(rep.table, atoms, groups)
 
 
 def _tightness(
     table: SemigroupoidTable,
     atoms: ProjectionAtoms,
-    families: Iterable[tuple[tuple[str, ...], tuple[str, ...], list[CoverSpec]]],
-    select: Mapping[str, int],
+    groups: Iterable[tuple[list[tuple[str, ...]], list[tuple[str, ...]], int, list[CoverSpec]]],
 ) -> TightnessReport:
-    """The covering relation over (required, forbidden, coverings) families:
-    each covering's join of final masks must equal the meet of the required
-    part's `select` masks and the forbidden part's complements.  Each
-    target's joins are found (with the partition self-check) once per call,
-    so a family costs one comparison per distinct join; a failure's matrices
-    are the sums of the atoms under its masks."""
+    """The covering relation over groups (requireds, forbiddens, mask,
+    coverings) of families: each covering's join of final masks must equal
+    the mask.  A group is decided once; only a failing one is expanded,
+    into family order (required, then forbidden part, each by size, then
+    lexicographically, as `covers` lists them).  Each target's joins are
+    found, with the partition self-check, once per call; a failure's
+    matrices are the sums of the atoms under its masks."""
     by_target: dict[frozenset[str], tuple[list[int], set[int]]] = {}
-    failures = []
+    failing = []
     families_checked = 0
     coverings_checked = 0
-    for required, forbidden, coverings in families:
-        families_checked += 1
-        coverings_checked += len(coverings)
+    for requireds, forbiddens, rhs, coverings in groups:
+        families = len(requireds) * len(forbiddens)
+        families_checked += families
+        coverings_checked += families * len(coverings)
         if not coverings:
             continue
         target = coverings[0].target
         if target not in by_target:
             by_target[target] = _join_masks(table, atoms.final, coverings)
         joins, distinct = by_target[target]
-        rhs = atoms.full
-        for f in required:
-            rhs &= select[f]
-        for g in forbidden:
-            rhs &= ~select[g]
         if distinct != {rhs}:
             product = atoms.matrix(rhs)
-            for spec, lhs in zip(coverings, joins):
-                if lhs != rhs:
-                    covering = tuple(sorted(spec.candidate))
-                    failures.append(
-                        TightFailure(required, forbidden, covering, atoms.matrix(lhs), product)
-                    )
-    return TightnessReport(not failures, tuple(failures), families_checked, coverings_checked)
+            wrong = [
+                (tuple(sorted(spec.candidate)), atoms.matrix(lhs))
+                for spec, lhs in zip(coverings, joins)
+                if lhs != rhs
+            ]
+            failing += [(r, f, wrong, product) for r in requireds for f in forbiddens]
+    failing.sort(key=lambda fam: (len(fam[0]), fam[0], len(fam[1]), fam[1]))
+    failures = tuple(
+        TightFailure(required, forbidden, covering, lhs, product)
+        for required, forbidden, wrong, product in failing
+        for covering, lhs in wrong
+    )
+    return TightnessReport(not failures, failures, families_checked, coverings_checked)
 
 
 def _join_masks(
@@ -588,5 +651,8 @@ def category_tightness(
         raise DegenerateRepresentation(
             f"combined ranges span rank {atoms.matrix(spanned).trace()} < dim {rep.dim}"
         )
-    families = object_families(rep.table, kg.objects, max_cover)
-    return _tightness(rep.table, atoms, families, atoms.final)
+    groups = (
+        ([v], [()], atoms.final[v[0]], coverings)
+        for v, _, coverings in object_families(rep.table, kg.objects, max_cover)
+    )
+    return _tightness(rep.table, atoms, groups)

@@ -7,6 +7,9 @@ fix_d: one vertex, one blue and one red loop with the commuting square,
 fix_e: a single element with nothing composable (one spring).
 fix_f: a non-monic structure, fg = fh = m with g != h.
 
+Two families of representations with atoms, which pass the axioms: the
+n-cycle cell (tight) and the cycle-plus-sink cell (not tight at the sink).
+
 Random valid tables come from paths of random DAGs (strictly associative,
 springs where a path starts at a source vertex) and from random Markov
 truncations (valid with artifact metadata).
@@ -15,6 +18,8 @@ truncations (valid with artifact metadata).
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import matmul
 
 import pytest
 
@@ -94,6 +99,54 @@ def all_ones_rep(table: SemigroupoidTable) -> Representation:
 
 def zero_rep(table: SemigroupoidTable, dim: int = 1) -> Representation:
     return Representation(table, dim, {t: RatMat.zeros(dim) for t in table.elements})
+
+
+def matrix_units(dim: int, entries) -> RatMat:
+    """The dim x dim 0-1 matrix with a 1 at each (row, column) of `entries`."""
+    return RatMat.from_rows(
+        [[int((r, c) in entries) for c in range(dim)] for r in range(dim)]
+    )
+
+
+def cycle_cell(n: int) -> Representation:
+    """The n-letter cycle matrix (letter i followed by letter i + 1 mod n)
+    truncated at length n, with S_w = E_{first(w), last(w)+1} in dimension
+    n: it passes the axioms, has n atoms and is tight."""
+    matrix = Matrix01.from_rows(
+        [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    )
+    trunc = build_markov(matrix, n)
+    index = {a: i for i, a in enumerate(matrix.alphabet)}
+    units = {}
+    assign = {}
+    for t, word in trunc.words.items():
+        entry = (index[word[0]], (index[word[-1]] + 1) % n)
+        if entry not in units:
+            units[entry] = matrix_units(n, {entry})
+        assign[t] = units[entry]
+    return Representation(trunc.table, n, assign)
+
+
+def cycle_sink_cell(n: int) -> tuple[KGraph, Representation]:
+    """The n-cycle 1-graph v0 -> v1 -> ... -> v0 plus one edge f: v0 -> w
+    into a new vertex w, truncated at length n, in dimension n + 2: v_i is
+    sent to E_ii and w to E_nn + E_{n+1,n+1}, e_i to E_{i+1 mod n, i} and f
+    to E_{n,0}, each morphism to the product along its word.  It passes the
+    axioms but is not tight at w, whose second dimension no edge covers."""
+    objects = tuple(f"v{i}" for i in range(n)) + ("w",)
+    edges = tuple(Edge(f"e{i}", 1, f"v{i}", f"v{(i + 1) % n}") for i in range(n))
+    edges += (Edge("f", 1, "v0", "w"),)
+    kg = build_kgraph(KGraphSkeleton(1, objects, edges, ()), (n,))
+    dim = n + 2
+    letters = {f"e{i}": matrix_units(dim, {((i + 1) % n, i)}) for i in range(n)}
+    letters["f"] = matrix_units(dim, {(n, 0)})
+    vertex = {f"v{i}": matrix_units(dim, {(i, i)}) for i in range(n)}
+    vertex["w"] = matrix_units(dim, {(n, n), (n + 1, n + 1)})
+    assign = {
+        t: reduce(matmul, (letters[e] for e in word), vertex[kg.range[t]])
+        for t, word in kg.normal_form.items()
+    }
+    return kg, Representation(kg.table, dim, assign)
 
 
 def random_dag_table(

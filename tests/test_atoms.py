@@ -12,6 +12,12 @@ orthogonal matrix per dimension, so the entries are non-unit fractions;
 most of them fail some axiom.  Tables are the golden-mean truncation at
 length 3, the fixtures c, d and e, and random DAG tables; the per-object
 criterion runs on fixtures c and d and on the 3- and 4-cycles.
+
+On the cycle and cycle-plus-sink cells (`conftest`) and the golden-mean
+zero representations, `check_tight` (families decided by key) is compared
+with an oracle that decides every family on its own, and `check_axioms`
+(clauses decided in bulk) with every clause multiplied out, also after
+one element's matrix is replaced by another's.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 import sgpd.reps
 from sgpd.core import SemigroupoidTable, d_set
-from sgpd.covers import BoundExceededError, target_coverings
+from sgpd.covers import BoundExceededError, is_partition, selector_families, target_coverings
 from sgpd.kgraph import Edge, KGraphSkeleton, build_kgraph
 from sgpd.markov import build_markov
 from sgpd.matrices import RatMat
@@ -45,7 +51,7 @@ from sgpd.reps import (
     check_tight,
 )
 
-from conftest import random_dag_table
+from conftest import cycle_cell, cycle_sink_cell, random_dag_table, unitary_rep, zero_rep
 from test_matrices import ref_hstack, ref_rank
 from test_memos import (
     HALF,
@@ -291,9 +297,9 @@ def test_no_annihilation_clause_drawn(monkeypatch, fixtures):
 
 def test_atoms_multiply_only_products(monkeypatch, fixtures, golden):
     """With atoms built beforehand, a passing check_axioms multiplies one
-    S_f S_g per composable pair and nothing else, on random DAG tables and
-    on the golden mean at length 4 (where only the zero representation
-    passes)."""
+    S_f S_g per distinct matrix pair (S_f, S_g) of a composable (f, g) and
+    nothing else, on random DAG tables and on the golden mean at length 4
+    (where only the zero representation passes)."""
     golden4 = build_markov(golden, 4).table
     reps = [Representation(golden4, d, {t: RatMat.zeros(d) for t in golden4.elements}) for d in (1, 2, 3)]
     for seed in range(200):
@@ -316,7 +322,8 @@ def test_atoms_multiply_only_products(monkeypatch, fixtures, golden):
         with monkeypatch.context() as patch:
             patch.setattr(RatMat, "__matmul__", counted)
             assert check_axioms(rep).ok
-        assert len(calls) == len(rep.table.composable)
+        pairs = {(rep.assign[f], rep.assign[g]) for f, g in rep.table.composable}
+        assert len(calls) == len(pairs)
 
 
 def rank_one_representation(rng):
@@ -459,3 +466,156 @@ def test_category_tightness_matches_matrices(kgraphs):
         axioms.add(bool(check_axioms(rep)))
     assert outcomes == {"tight", "failing", "DegenerateRepresentation"}
     assert axioms == {True, False}
+
+
+# ---- the cells: tightness by key and the axioms in bulk
+
+
+def ref_tight_by_family(rep, max_fg=2, max_cover=6):
+    """check_tight one selector family at a time: each family compares its
+    own product mask with the join mask of each of its coverings (a
+    covering's join and partition self-check are found once), and a
+    failure's product and join are multiplied out from the matrices (the
+    join once per covering)."""
+    atoms = rep._atoms
+    identity = RatMat.identity(rep.dim)
+    joins = {}
+    matrices = {}
+    failures = []
+    families = coverings_checked = 0
+    for required, forbidden, coverings in selector_families(rep.table, max_fg, max_cover):
+        families += 1
+        coverings_checked += len(coverings)
+        rhs = atoms.full
+        for f in required:
+            rhs &= atoms.initial[f]
+        for g in forbidden:
+            rhs &= ~atoms.initial[g]
+        product = None
+        for spec in coverings:
+            if spec not in joins:
+                finals = [atoms.final[h] for h in spec.candidate]
+                lhs = reduce(lambda a, b: a | b, finals, 0)
+                orthogonal = sum(m.bit_count() for m in finals) == lhs.bit_count()
+                if not orthogonal and is_partition(rep.table, spec) is True:
+                    raise PreconditionUnmet(
+                        "join and sum disagree on a partition; final "
+                        "projections are not orthogonal (axioms violated?)"
+                    )
+                joins[spec] = lhs
+            if joins[spec] != rhs:
+                if product is None:
+                    product = reduce(matmul, [ref_initial(rep, f) for f in required], identity)
+                    for g in forbidden:
+                        product = product @ (identity - ref_initial(rep, g))
+                covering = tuple(sorted(spec.candidate))
+                if covering not in matrices:
+                    matrices[covering] = ref_join([ref_final(rep, h) for h in covering], rep.dim)
+                failures.append(
+                    TightFailure(required, forbidden, covering, matrices[covering], product)
+                )
+    return TightnessReport(not failures, tuple(failures), families, coverings_checked)
+
+
+def cells(sizes):
+    """(name, representation) for the cycle and cycle-plus-sink cells."""
+    for n in sizes:
+        yield f"cycle{n}", cycle_cell(n)
+        yield f"sink{n}", cycle_sink_cell(n)[1]
+
+
+@pytest.fixture(scope="module")
+def golden_zero(golden):
+    return {n: zero_rep(build_markov(golden, n).table, 2) for n in (3, 4, 5, 6)}
+
+
+def test_cells_tight_by_key(golden_zero):
+    """Every failure included, on the cells at n = 3-6 and the golden-mean
+    zero representations at lengths 5-6; the cycle cells are tight and the
+    sink cells are not."""
+    cases = list(cells(range(3, 7))) + [(f"golden{n}", golden_zero[n]) for n in (5, 6)]
+    verdicts = {}
+    for name, rep in cases:
+        report = check_tight(rep, 2, 64)
+        assert report == ref_tight_by_family(rep, 2, 64), name
+        verdicts[name] = report.tight
+    assert verdicts == {name: not name.startswith("sink") for name, _ in cases}
+
+
+def test_small_cells_match_matrices(golden_zero):
+    """The same reports as the matrix oracle, on the cells at n = 3 and the
+    golden-mean zero representations at lengths 3-4."""
+    for name, rep in list(cells([3])) + [(f"golden{n}", golden_zero[n]) for n in (3, 4)]:
+        assert check_tight(rep, 2, 64) == ref_check_tight(rep, 2, 64), name
+
+
+def test_generators_tight_by_key(fixtures, kgraphs):
+    """The same reports, or the same error and text, as the one-family
+    oracle on every generator above that has atoms, and as the matrix
+    oracle on the fixtures: random and rank-one draws, and word products
+    and per-element draws on the k-graphs."""
+    cases = [
+        random_representation(random.Random(seed), fixtures, KINDS[seed % len(KINDS)], 1 + seed % 4)
+        for seed in range(24)
+    ]
+    cases += [category_case(seed, kgraphs)[1] for seed in range(24)]
+    cases += [rank_one_representation(random.Random(seed)) for seed in range(20)]
+    verdicts = set()
+    for rep in cases:
+        if rep._atoms is None:
+            continue
+        got = outcome(check_tight, rep)
+        assert got == outcome(ref_tight_by_family, rep)
+        if len(rep.table.elements) <= 5:
+            assert got == outcome(ref_check_tight, rep)
+        verdicts.add(got[0] if isinstance(got, tuple) else got.tight)
+    assert {True, False} <= verdicts
+
+
+@pytest.mark.parametrize("max_cover", [1, 3])
+def test_cells_over_max_cover(golden_zero, max_cover):
+    """Past max_cover, the same error class and message as the oracles."""
+    cases = list(cells([3, 4])) + [(f"golden{n}", golden_zero[n]) for n in (3, 4, 5, 6)]
+    raised = set()
+    for name, rep in cases:
+        got = outcome(check_tight, rep, 2, max_cover)
+        assert got == outcome(ref_tight_by_family, rep, 2, max_cover), name
+        if name in ("cycle3", "golden3", "golden4"):
+            assert got == outcome(ref_check_tight, rep, 2, max_cover), name
+        raised.add(isinstance(got, tuple))
+    assert raised == {True, False}
+
+
+def repeated(rep, rng):
+    """The representation with one element's matrix replaced by another's."""
+    elements = sorted(rep.table.elements)
+    assign = dict(rep.assign)
+    assign[rng.choice(elements)] = assign[rng.choice(elements)]
+    return Representation(rep.table, rep.dim, assign)
+
+
+def permutation_rep(table, dim, shift):
+    """Every element sent to one cyclic permutation matrix."""
+    perm = RatMat.from_rows([[int(c == (r + shift) % dim) for c in range(dim)] for r in range(dim)])
+    return Representation(table, dim, dict.fromkeys(table.elements, perm))
+
+
+def test_cells_axioms_in_bulk(golden_zero, fixtures, fix_c, fix_d):
+    """The same first failure as every clause multiplied out, on the cells,
+    on zero, identity and permutation representations (one matrix
+    repeated everywhere), on cells with one matrix replaced by another, and
+    on rank-one and word-product draws; every clause family the bulk
+    decision covers is reached."""
+    rng = random.Random(5)
+    reps = [rep for _, rep in cells(range(3, 7))] + list(golden_zero.values())
+    reps += [zero_rep(rep.table, 3) for rep in reps[:4]] + [unitary_rep(fix_c), unitary_rep(fix_d)]
+    reps += [permutation_rep(rep.table, rep.dim, 1) for rep in reps[:8]]
+    reps += [repeated(rep, rng) for rep in reps[:8] for _ in range(12)]
+    reps += [rank_one_representation(random.Random(seed)) for seed in range(20)]
+    reps += [random_representation(random.Random(seed), fixtures, "words", 3) for seed in range(20)]
+    tags = set()
+    for rep in reps:
+        report = check_axioms(rep)
+        assert report == ref_check_axioms(rep)
+        tags.add(report.failure.tag if report.failure else "pass")
+    assert {"pass", "product", "product-zero", "disjoint", "domination"} <= tags

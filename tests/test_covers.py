@@ -18,6 +18,7 @@ from sgpd.covers import (
     minimal_coverings,
     prune_covering,
     selector_families,
+    selector_groups,
     target_coverings,
 )
 from sgpd.kgraph import build_kgraph
@@ -338,3 +339,35 @@ def test_selector_families_match_per_family_targets(table, max_fg):
     assert outcome(lambda: list(selector_families(table, max_fg, 16))) == outcome(
         lambda: list(ref_selector_families(table, max_fg, 16))
     )
+
+
+@FUZZ
+@given(TABLES, st.integers(1, 2), st.integers(0, 2**32))
+def test_selector_groups_partition_the_families(table, max_fg, seed):
+    """Expanded, the groups are the selector families, each once, with its
+    coverings and with the AND of its required labels less the OR of its
+    forbidden ones as the mask; the groups come in the order of their first
+    family, and a bound is exceeded with the same error."""
+    rng = random.Random(seed)
+    label = {f: rng.randrange(8) for f in table.elements}
+
+    def mask(required, forbidden):
+        out = 7
+        for f in required:
+            out &= label[f]
+        for g in forbidden:
+            out &= ~label[g]
+        return out
+
+    families = outcome(
+        lambda: [(r, f, mask(r, f), c) for r, f, c in selector_families(table, max_fg, 4)]
+    )
+    groups = outcome(lambda: list(selector_groups(table, max_fg, 4, label)))
+    if not isinstance(families, list):
+        assert groups == families
+        return
+    position = {(r, f): i for i, (r, f, _, _) in enumerate(families)}
+    expanded = [(r, f, m, c) for rs, fs, m, c in groups for r in rs for f in fs]
+    assert sorted(expanded, key=lambda fam: position[fam[:2]]) == families
+    firsts = [position[rs[0], fs[0]] for rs, fs, _, _ in groups]
+    assert firsts == sorted(firsts)

@@ -9,6 +9,7 @@ from sgpd.core import d_set, intersects, validate_associativity
 from sgpd.covers import BoundExceededError, CoverSpec, prune_covering
 from sgpd.markov import (
     InadmissibleWord,
+    LemmaWitness,
     Matrix01,
     SpringRow,
     UnknownLetter,
@@ -367,6 +368,64 @@ class TestFirstLetterDecomposition:
     def test_spring_row_rejected(self, dead_row):
         with pytest.raises(SpringRow):
             first_letter_decomposition_check(dead_row, "2", 3)
+
+
+def ref_is_partition_of_words(matrix, members, universe):
+    """The partition check with every pair of words walked through
+    `word_disjoint` (admissibility included)."""
+    members = sorted(members)
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if not word_disjoint(matrix, a, b):
+                return LemmaWitness("intersecting-pair", (a, b))
+    for w in universe:
+        if all(word_disjoint(matrix, w, h) for h in members):
+            return LemmaWitness("uncovered-word", (w,))
+    return True
+
+
+class TestPartitionOfWords:
+    """The partition check compares prefixes of words known to be
+    admissible; it must give the verdicts and witnesses of the walk over
+    every pair, which checks admissibility as it goes: on every enumerated
+    partition and on random sets of words at lengths 1-5, and through the
+    whole decomposition check at lengths 1-4."""
+
+    MATRICES = {"golden": [[1, 1], [1, 0]], "full2": [[1, 1], [1, 1]]}
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_matches_pairwise_walk(self, monkeypatch, name):
+        matrix = Matrix01.from_rows(self.MATRICES[name])
+        rng = random.Random(3)
+        kinds = set()
+        for n in range(1, 6):
+            for letter in matrix.alphabet:
+                universe = words_from(matrix, letter, n)
+                parts = enumerate_partitions(matrix, letter, n)
+                parts += [frozenset(rng.sample(universe, rng.randint(1, len(universe)))) for _ in range(20)]
+                for part in parts:
+                    got = sgpd.markov._is_partition_of_words(part, universe)
+                    assert got == ref_is_partition_of_words(matrix, part, universe)
+                    kinds.add(True if got is True else got.kind)
+                want = first_letter_decomposition_check(matrix, letter, n, parts)
+                if n == 5:  # the walk over every stripped partition takes seconds
+                    continue
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        sgpd.markov,
+                        "_is_partition_of_words",
+                        lambda members, universe: ref_is_partition_of_words(matrix, members, universe),
+                    )
+                    assert first_letter_decomposition_check(matrix, letter, n, parts) == want
+                assert first_letter_decomposition_check(matrix, letter, n) is True
+        assert kinds == {True, "intersecting-pair", "uncovered-word"}
+
+    def test_inadmissible_member_raises(self, golden):
+        parts = [frozenset({("1",)}), frozenset({("1", "1"), ("1", "2", "2")})]
+        with pytest.raises(InadmissibleWord, match=r"^\('1', '2', '2'\) is not admissible$"):
+            first_letter_decomposition_check(golden, "1", 3, parts)
+        with pytest.raises(InadmissibleWord, match=r"^\('1', '2', '2'\) is not admissible$"):
+            first_letter_decomposition_check(golden, "1", 3, [parts[1]])
 
 
 class TestDegreeAdapter:
