@@ -231,45 +231,59 @@ def validate_associativity(table: SemigroupoidTable) -> ValidationReport:
     (f,gh), in that order and skipping any whose product factor does not
     exist, the first that is neither composable nor artifact is a
     missing-pair witness; otherwise, when both bracketings are composable,
-    (fg)h and f(gh) must be equal.  Products are read from the table's
-    product rows.
+    (fg)h and f(gh) must be equal.
+
+    Each trigger settles two of the four pairs, and case (i), checked in
+    full first, settles the rest: a case (ii) or (iii) triple whose open
+    pair (g,h) or (f,g) is composable is also a case (i) triple.  So case
+    (i) tests (fg,h), (f,gh) and the products, case (ii) only (g,h) and
+    case (iii) only (f,g).  Cases (i) and (ii) go pair by pair over the
+    composable (f,g), looking up what they read of f, g and fg once per
+    pair and then looping over the product row of g (case i) or of fg
+    (case ii); case (iii) loops over the preceders of gh.  Each product
+    row is sorted once per call.
     """
-    rows = table.rows
     ok = table.full_followers
-    followers = {e: sorted(row) for e, row in rows.items()}
-    pairs = sorted(table.composable)
-    preceders: dict[str, list[str]] = {e: [] for e in table.elements}
-    for f, g in pairs:
-        preceders[g].append(f)
-    cases = (
-        ("i", ((f, g, h) for f, g in pairs for h in followers[g])),
-        ("ii", ((f, g, h) for f, g in pairs for h in followers[rows[f][g]])),
-        ("iii", ((f, g, h) for g, h in pairs for f in preceders[rows[g][h]])),
-    )
+    rows = {e: dict(sorted(table.rows[e].items())) for e in sorted(table.rows)}
+    preceders: dict[str, list[str]] = {e: [] for e in rows}
+    for f, row_f in rows.items():
+        for g in row_f:
+            preceders[g].append(f)
+
+    def failure(checked, triple, case, kind, pair=None, products=None):
+        violation = AssociativityViolation(triple, case, kind, pair, products)
+        return ValidationReport(False, violation, checked)
 
     checked = 0
-    for case, triples in cases:
-        for f, g, h in triples:
-            checked += 1
-            row = rows[f]
-            fg, gh = row.get(g), rows[g].get(h)
-            missing = (
-                (f, g) if g not in ok[f]
-                else (g, h) if h not in ok[g]
-                else (fg, h) if fg is not None and h not in ok[fg]
-                else (f, gh) if gh is not None and gh not in ok[f]
-                else None
-            )
-            if missing:
-                violation = AssociativityViolation((f, g, h), case, "missing-pair", missing)
-                return ValidationReport(False, violation, checked)
-            lhs = None if fg is None else rows[fg].get(h)
-            rhs = None if gh is None else row.get(gh)
-            if lhs is not None and rhs is not None and lhs != rhs:
-                violation = AssociativityViolation(
-                    (f, g, h), case, "unequal-products", products=(lhs, rhs)
-                )
-                return ValidationReport(False, violation, checked)
+    # case (i)
+    for f, row_f in rows.items():
+        ok_f = ok[f]
+        for g, fg in row_f.items():
+            row_fg, ok_fg = rows[fg], ok[fg]
+            for h, gh in rows[g].items():
+                checked += 1
+                if h not in ok_fg:
+                    return failure(checked, (f, g, h), "i", "missing-pair", (fg, h))
+                if gh not in ok_f:
+                    return failure(checked, (f, g, h), "i", "missing-pair", (f, gh))
+                lhs, rhs = row_fg.get(h), row_f.get(gh)
+                if lhs != rhs and lhs is not None and rhs is not None:
+                    return failure(checked, (f, g, h), "i", "unequal-products", None, (lhs, rhs))
+    # case (ii)
+    for f, row_f in rows.items():
+        for g, fg in row_f.items():
+            ok_g = ok[g]
+            for h in rows[fg]:
+                checked += 1
+                if h not in ok_g:
+                    return failure(checked, (f, g, h), "ii", "missing-pair", (g, h))
+    # case (iii)
+    for g, row_g in rows.items():
+        for h, gh in row_g.items():
+            for f in preceders[gh]:
+                checked += 1
+                if g not in ok[f]:
+                    return failure(checked, (f, g, h), "iii", "missing-pair", (f, g))
     return ValidationReport(True, None, checked)
 
 

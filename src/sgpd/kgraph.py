@@ -26,7 +26,7 @@ from .covers import BoundExceededError, CoverSpec, IntersectingPair, Uncovered, 
 
 # nonempty edge words a truncation may have; build_kgraph counts them first
 # and refuses more (the two-loop 2-graph has 48,618 words at degree (8,8),
-# built in about 2 s on a 2-CPU host, and 705,430 at (10,10))
+# built in about 0.6 s on a 2-CPU host, and 705,430 at (10,10))
 WORD_CAP = 50_000
 
 
@@ -205,6 +205,29 @@ def _validate_squares(skeleton: KGraphSkeleton) -> dict[tuple[str, str], tuple[s
     return swap
 
 
+def _square_classes(
+    words: Sequence[Path], swap: Mapping[tuple[str, str], tuple[str, str]]
+) -> list[list[int]]:
+    """The classes of the sorted `words` under square moves, each the
+    ascending positions of its words, in the order of their least words.
+    A union-find runs on the positions, so each word is hashed once, and
+    the swap map is an involution, so each move is made once, from the
+    word holding the lesser of its two paths."""
+    ids = list(range(len(words)))
+    index = dict(zip(words, ids))
+    uf = UnionFind(ids)
+    for i, word in zip(ids, words):
+        for j in range(len(word) - 1):
+            path = word[j : j + 2]
+            mate = swap.get(path)
+            if mate is not None and path < mate:
+                uf.union(i, index[word[:j] + mate + word[j + 2 :]])
+    classes: dict[int, list[int]] = {}
+    for i in ids:
+        classes.setdefault(uf.find(i), []).append(i)
+    return list(classes.values())
+
+
 @dataclass(frozen=True)
 class KGraph:
     skeleton: KGraphSkeleton
@@ -251,7 +274,14 @@ def build_kgraph(
     defining identities (degree additivity, unique factorisation).  The
     edge words are counted first: past WORD_CAP this raises
     BoundExceededError before building any, and otherwise the build is
-    cross-checked against the count."""
+    cross-checked against the count.
+
+    The words are numbered in sorted order and closed under square moves
+    by a union-find on those numbers.  Each class must hold exactly one
+    colour-sorted word, its normal form, and one pair of endpoints.  The
+    product of f and g is the class of their concatenated normal forms;
+    a concatenation past the degree bound is no word, so (f, g) is then
+    an artifact pair."""
     max_degree = tuple(int(x) for x in max_degree)
     if len(max_degree) != skeleton.k or any(x < 0 for x in max_degree):
         raise ValueError("max_degree must be a nonnegative vector of length k")
@@ -263,44 +293,35 @@ def build_kgraph(
             f"more than {WORD_CAP} edge words within degree {max_degree}"
         )
 
+    color = {e.name: e.color for e in skeleton.edges}
+    zero = (0,) * skeleton.k
+
     # all nonempty composable edge words of bounded degree, each with its
-    # (range, source, degree); identity morphisms are handled separately (an
-    # empty word cannot carry its object).  Each word is reached once, from
-    # its prefix.
-    words: dict[Path, tuple[str, str, tuple[int, ...]]] = {}
-    frontier = [((), (v, v, (0,) * skeleton.k)) for v in skeleton.objects]
+    # (range, source, degree) and whether its colours are sorted; identity
+    # morphisms are handled separately (an empty word cannot carry its
+    # object).  Each word is reached once, from its prefix, and is
+    # colour-sorted when its prefix is and its last colour is no less.
+    words: list[tuple[Path, tuple[str, str, tuple[int, ...], bool]]] = []
+    frontier = [((), (v, v, zero, True)) for v in skeleton.objects]
     while frontier:
         new_frontier = []
-        for word, (r, s, deg) in frontier:
+        for word, (r, s, deg, in_order) in frontier:
+            last = color[word[-1]] if word else 1
             for e in into[s]:
                 c = e.color - 1
                 if deg[c] == max_degree[c]:
                     continue
-                new_word = word + (e.name,)
-                words[new_word] = (r, e.src, deg[:c] + (deg[c] + 1,) + deg[c + 1 :])
-                new_frontier.append((new_word, words[new_word]))
+                new_deg = deg[:c] + (deg[c] + 1,) + deg[c + 1 :]
+                new_frontier.append(
+                    (word + (e.name,), (r, e.src, new_deg, in_order and last <= e.color))
+                )
+        words += new_frontier
         frontier = new_frontier
     if len(words) != expected:
         raise SgpdError(f"word census mismatch: enumerated {len(words)}, expected {expected}")
-    ordered = sorted(words)
+    words.sort()
 
-    # square-move closure
-    uf = UnionFind(words)
-    for word in ordered:
-        for i in range(len(word) - 1):
-            mate = swap.get(word[i : i + 2])
-            if mate is not None:
-                uf.union(word, word[:i] + mate + word[i + 2 :])
-
-    classes: dict[Path, list[Path]] = {}
-    for w in ordered:
-        classes.setdefault(uf.find(w), []).append(w)
-
-    color = {e.name: e.color for e in skeleton.edges}
-
-    def is_sorted(word: Path) -> bool:
-        cols = [color[n] for n in word]
-        return all(a <= b for a, b in zip(cols, cols[1:]))
+    classes = _square_classes([w for w, _ in words], swap)
 
     normal_form: dict[str, Path] = {}
     class_of: dict[Path, str] = {}
@@ -311,30 +332,31 @@ def build_kgraph(
         normal_form[v] = ()
         source[v] = v
         range_[v] = v
-        degree[v] = (0,) * skeleton.k
-    for members in classes.values():
-        sorted_members = [w for w in members if is_sorted(w)]
+        degree[v] = zero
+    for members in classes:
+        sorted_members = [words[i] for i in members if words[i][1][3]]
         if len(sorted_members) != 1:
             raise InconsistentSquares(
-                f"class of {min(members)} has {len(sorted_members)} color-sorted "
-                f"members: {sorted(sorted_members)}"
+                f"class of {words[members[0]][0]} has {len(sorted_members)} color-sorted "
+                f"members: {[w for w, _ in sorted_members]}"
             )
-        nf = sorted_members[0]
-        endpoints = {words[w][:2] for w in members}
+        nf, (r, s, deg, _) = sorted_members[0]
+        endpoints = {words[i][1][:2] for i in members}
         if len(endpoints) != 1:
             raise InconsistentSquares(
                 f"class of {nf} mixes endpoints {sorted(endpoints)}"
             )
         token = ".".join(nf)
         normal_form[token] = nf
-        for w in members:
-            class_of[w] = token
-        range_[token], source[token], degree[token] = words[nf]
+        for i in members:
+            class_of[words[i][0]] = token
+        range_[token], source[token], degree[token] = r, s, deg
 
     if len(normal_form) != len(classes) + len(skeleton.objects):
         raise InconsistentSquares("morphism tokens collide")
 
-    # composition table with degree-overflow artifacts
+    # composition table: a concatenation within the degree bound is an
+    # edge word, so a product missing from class_of is an artifact pair
     product: dict[tuple[str, str], str] = {}
     artifacts: set[tuple[str, str]] = set()
     tokens = sorted(normal_form)
@@ -342,18 +364,19 @@ def build_kgraph(
     for g in tokens:
         ranged[range_[g]].append(g)
     for f in tokens:
-        room = _vec_sub(max_degree, degree[f])
+        nf = normal_form[f]
         for g in ranged[source[f]]:
-            if all(d <= r for d, r in zip(degree[g], room)):
-                combined = normal_form[f] + normal_form[g]
-                product[(f, g)] = class_of[combined] if combined else f
-            else:
+            combined = nf + normal_form[g]
+            fg = class_of.get(combined) if combined else f
+            if fg is None:
                 artifacts.add((f, g))
+            else:
+                product[(f, g)] = fg
     boundary = frozenset(
         t
         for t in tokens
         if any(d == b for d, b in zip(degree[t], max_degree))
-        and degree[t] != (0,) * skeleton.k
+        and degree[t] != zero
     )
     table = SemigroupoidTable.build(tokens, product, boundary, artifacts)
 

@@ -25,6 +25,7 @@ from sgpd.kgraph import build_kgraph
 from sgpd.markov import build_markov
 
 from conftest import random_dag_table, random_matrix01
+from test_kgraph import three_colours, two_loops
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -153,7 +154,13 @@ TABLES = st.one_of(
 
 
 def kgraph_tables(fix_c, fix_d):
-    return [fix_c.table, fix_d.table, build_kgraph(fix_d.skeleton, (2, 3)).table]
+    return [
+        fix_c.table,
+        fix_d.table,
+        build_kgraph(fix_d.skeleton, (2, 3)).table,
+        build_kgraph(two_loops(), (4, 4)).table,
+        build_kgraph(three_colours(), (2, 1, 1)).table,
+    ]
 
 
 # ---- the validator against the reference
@@ -166,7 +173,7 @@ def test_reports_match_reference(table):
 
 
 @FUZZ
-@given(st.sampled_from([0, 1, 2]), SEEDS)
+@given(st.sampled_from(range(5)), SEEDS)
 def test_kgraph_reports_match_reference(fix_c, fix_d, which, seed):
     table = kgraph_tables(fix_c, fix_d)[which]
     assert validate_associativity(table) == ref_validate(table)

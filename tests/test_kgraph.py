@@ -216,6 +216,84 @@ def two_loops():
     )
 
 
+def three_colours():
+    """A 3-graph on one vertex: b swaps a and a2 past it, c commutes with
+    everything, and both ways round each cube agree."""
+    return KGraphSkeleton(
+        3,
+        ("v",),
+        (Edge("a", 1, "v", "v"), Edge("a2", 1, "v", "v"), Edge("b", 2, "v", "v"),
+         Edge("c", 3, "v", "v")),
+        (
+            (("a", "b"), ("b", "a2")), (("a2", "b"), ("b", "a")),
+            (("a", "c"), ("c", "a")), (("a2", "c"), ("c", "a2")), (("b", "c"), ("c", "b")),
+        ),
+    )
+
+
+def broken_cube():
+    """A complete square set on one vertex in three colours whose cubes do
+    not close: a.b.c moves to a2.b2.c, so its class has two color-sorted
+    members once every colour has room for one edge."""
+    return KGraphSkeleton(
+        3,
+        ("v",),
+        (Edge("a", 1, "v", "v"), Edge("a2", 1, "v", "v"), Edge("b", 2, "v", "v"),
+         Edge("b2", 2, "v", "v"), Edge("c", 3, "v", "v")),
+        (
+            (("a", "b"), ("b", "a")), (("a", "b2"), ("b", "a2")),
+            (("a2", "b"), ("b2", "a")), (("a2", "b2"), ("b2", "a2")),
+            (("a", "c"), ("c", "a")), (("a2", "c"), ("c", "a2")),
+            (("b", "c"), ("c", "b2")), (("b2", "c"), ("c", "b")),
+        ),
+    )
+
+
+def random_rank_two(rng):
+    """1-2 vertices and 1-3 blue edges with random endpoints.  The red edges
+    copy the blue ones' endpoints, or are one loop at each vertex, or both,
+    so the two adjacency matrices commute.  For each pair of endpoints a
+    random bijection pairs the colour-(1, 2) paths with the colour-(2, 1)
+    paths; one skeleton in four then loses a square."""
+    objects = ("u", "v")[: rng.randint(1, 2)]
+    blue = [Edge(f"b{i}", 1, rng.choice(objects), rng.choice(objects))
+            for i in range(rng.randint(1, 3))]
+    shape = rng.randrange(3)
+    red = [Edge(f"r{i}", 2, e.src, e.dst) for i, e in enumerate(blue) if shape != 1]
+    red += [Edge(f"r{v}", 2, v, v) for v in objects if shape != 0]
+    edges = blue + red
+    squares = []
+    for r in objects:
+        for s in objects:
+            paths = {
+                colors: [
+                    (x.name, y.name) for x in edges for y in edges
+                    if (x.color, y.color) == colors and x.src == y.dst
+                    and (x.dst, y.src) == (r, s)
+                ]
+                for colors in ((1, 2), (2, 1))
+            }
+            rng.shuffle(paths[2, 1])
+            squares += zip(paths[1, 2], paths[2, 1])
+    if squares and rng.randrange(4) == 0:
+        squares.pop(rng.randrange(len(squares)))
+    return KGraphSkeleton(2, objects, tuple(edges), tuple(squares))
+
+
+def matches_direct_method(skeleton, bound):
+    """build_kgraph gives ref_build_kgraph's fields, or raises
+    InconsistentSquares with its message; True when the build succeeds."""
+    try:
+        want = ref_build_kgraph(skeleton, bound)
+    except InconsistentSquares as exc:
+        with pytest.raises(InconsistentSquares) as got:
+            build_kgraph(skeleton, bound)
+        assert str(got.value) == str(exc)
+        return False
+    assert kgraph_fields(build_kgraph(skeleton, bound)) == want
+    return True
+
+
 class TestBox:
     def test_matches_itertools_product(self):
         rng = random.Random(0)
@@ -262,6 +340,29 @@ class TestBuildMatchesDirectMethod:
         for kg in (fix_c, fix_d):
             assert kgraph_fields(kg) == ref_build_kgraph(kg.skeleton, kg.max_degree)
 
+    @pytest.mark.parametrize("bound", [(0, 0, 0), (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)])
+    def test_rank_three(self, bound):
+        assert matches_direct_method(three_colours(), bound)
+
+    @pytest.mark.parametrize("bound", [(1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 1, 1)])
+    def test_rank_three_broken_cube(self, bound):
+        builds = matches_direct_method(broken_cube(), bound)
+        assert builds == (0 in bound)
+
+    def test_broken_cube_message(self):
+        message = r"^class of \('a', 'b', 'c'\) has 2 color-sorted members: "
+        with pytest.raises(InconsistentSquares, match=message):
+            build_kgraph(broken_cube(), (1, 1, 1))
+
+    def test_random_rank_two_bijections(self):
+        outcomes = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            skeleton = random_rank_two(rng)
+            bound = (rng.randint(0, 2), rng.randint(0, 2))
+            outcomes.add((len(skeleton.objects), matches_direct_method(skeleton, bound)))
+        assert outcomes == {(1, True), (2, True), (1, False), (2, False)}
+
     def test_inconsistent_squares_messages(self):
         two_red = two_red_skeleton()
         skeletons = [
@@ -272,11 +373,7 @@ class TestBuildMatchesDirectMethod:
         ]
         for skeleton in skeletons:
             for bound in [(1, 1), (2, 1)]:
-                with pytest.raises(InconsistentSquares) as want:
-                    ref_build_kgraph(skeleton, bound)
-                with pytest.raises(InconsistentSquares) as got:
-                    build_kgraph(skeleton, bound)
-                assert str(got.value) == str(want.value)
+                assert not matches_direct_method(skeleton, bound)
 
 
 class TestFactorize:
