@@ -212,16 +212,24 @@ def _square_classes(
     ascending positions of its words, in the order of their least words.
     A union-find runs on the positions, so each word is hashed once, and
     the swap map is an involution, so each move is made once, from the
-    word holding the lesser of its two paths."""
+    word holding the lesser of its two paths.  Those lesser paths are
+    looked up by their first edge, then their second: a same-colour pair,
+    which no square has, or a greater path is passed without slicing the
+    word."""
+    lesser: dict[str, dict[str, tuple[str, str]]] = {}
+    for path, mate in swap.items():
+        if path < mate:
+            lesser.setdefault(path[0], {})[path[1]] = mate
     ids = list(range(len(words)))
     index = dict(zip(words, ids))
     uf = UnionFind(ids)
     for i, word in zip(ids, words):
         for j in range(len(word) - 1):
-            path = word[j : j + 2]
-            mate = swap.get(path)
-            if mate is not None and path < mate:
-                uf.union(i, index[word[:j] + mate + word[j + 2 :]])
+            mates = lesser.get(word[j])
+            if mates is not None:
+                mate = mates.get(word[j + 1])
+                if mate is not None:
+                    uf.union(i, index[word[:j] + mate + word[j + 2 :]])
     classes: dict[int, list[int]] = {}
     for i in ids:
         classes.setdefault(uf.find(i), []).append(i)

@@ -21,10 +21,11 @@ so most of the scalar work a dense product would do is a multiply by zero.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 _set = object.__setattr__
 
@@ -165,9 +166,14 @@ class RatMat:
         ) + "]"
 
 
-def join(projections: Iterable[RatMat], dim: int) -> RatMat:
-    """Join of commuting projections, folded by p v q = p + q - pq."""
+def join(
+    projections: Iterable[RatMat],
+    dim: int,
+    times: Callable[[RatMat, RatMat], RatMat] = operator.matmul,
+) -> RatMat:
+    """Join of commuting projections, folded by p v q = p + q - pq, with
+    each product pq taken by `times`."""
     out = RatMat.zeros(dim)
     for p in projections:
-        out = out + p - out @ p
+        out = out + p - times(out, p)
     return out

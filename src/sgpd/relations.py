@@ -23,11 +23,14 @@ one and zero by products, joins and complements is decided on atom masks
 (`atom_mask`); every other relation is evaluated on matrices.
 
 Each emitter call keeps one map from the clause symbols S_f, S_f*, Q_f and
-P_f to their terms, so each of those terms is built once per call and
-shared by every relation that uses it; nothing is cached across calls.
-Every term computes its hash once, when it is built, so the memo that
-evaluates a presentation finds a shared sub-term in O(1); and it stores
-its text the first time it is rendered, so each term is rendered once.
+P_f, and from the axiom clause sides, to their terms, so each of those
+terms is built once per call and shared by every relation that uses it;
+nothing is cached across calls.  Every term sets its text (from its
+children's stored texts) and its hash (of its class and text) once, when
+it is built: each term is rendered once, and the memo that evaluates a
+presentation finds a shared sub-term in O(1).  One `evaluate` call also
+keeps a product table, so each distinct pair of factor matrices is
+multiplied once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from operator import matmul, or_
+from operator import or_
 from typing import Mapping
 
 from .core import SemigroupoidTable, SgpdError
@@ -43,7 +46,7 @@ from .covers import BoundExceededError, object_families, selector_families
 from .kgraph import KGraph, rfns_check
 from .markov import Matrix01, follower_letters
 from .matrices import RatMat, join
-from .reps import ProjectionAtoms, Representation, Side, axiom_clauses
+from .reps import ProjectionAtoms, Representation, axiom_clauses
 
 # el13 relations (4^n for n letters) the Cuntz-Krieger emitter may emit;
 # 8 letters take seconds, 10 take minutes
@@ -58,97 +61,154 @@ class SourcesPresent(SgpdError):
     pass
 
 
-class Term:
-    """A term of a relation: a frozen dataclass (see `_term`) that computes
-    its hash from its class and fields once, when they are set, so hashing
-    it never re-hashes its sub-terms.  `render_term` stores the term's text
-    on it the first time it renders it; the hash and equality never read
-    the text."""
+_set = object.__setattr__
 
-    _text = None
 
-    def __post_init__(self):
-        # only the dataclass fields are in vars(self) at this point
-        object.__setattr__(self, "_hash", hash((self.__class__, *vars(self).values())))
+class _Frozen:
+    """Slotted and immutable: each field is set once, by `__init__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Term(_Frozen):
+    """A term of a relation: an immutable value with at most one field,
+    named by `_field`.  `__init__` sets the field, the text and the hash
+    once.  The text is built from the children's stored texts, so a
+    sub-term shared by many relations is rendered once, and the hash is of
+    the class and the text, so hashing never walks the sub-terms.  Equality
+    is structural: the same class and equal fields (the text alone is not
+    enough, since an empty sum, an empty join and zero all read "zero")."""
+
+    __slots__ = ("_text", "_hash")
+    _field = ""
+
+    def _seal(self, text: str) -> None:
+        _set(self, "_text", text)
+        _set(self, "_hash", hash((self.__class__, text)))
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        field = self._field
+        return self._hash == other._hash and (
+            not field or getattr(self, field) == getattr(other, field)
+        )
 
-def _term(cls):
-    """A frozen dataclass Term keeping the hash computed by Term, which
-    the dataclass decorator would otherwise replace with one over the
-    fields."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Term.__hash__
-    return cls
+    def __repr__(self) -> str:
+        field = self._field
+        inner = f"{field}={getattr(self, field)!r}" if field else ""
+        return f"{type(self).__name__}({inner})"
 
 
-@_term
 class Gen(Term):
-    name: str
+    __slots__ = ("name",)
+    _field = "name"
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        self._seal(f"(gen {name})")
 
 
-@_term
 class Adj(Term):
-    name: str
+    __slots__ = ("name",)
+    _field = "name"
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        self._seal(f"(adj {name})")
 
 
-@_term
 class One(Term):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        self._seal("one")
 
 
-@_term
 class Zero(Term):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        self._seal("zero")
 
 
-@_term
 class Mul(Term):
-    factors: tuple[Term, ...]
+    __slots__ = ("factors",)
+    _field = "factors"
+
+    def __init__(self, factors: tuple[Term, ...]):
+        factors = tuple(factors)
+        _set(self, "factors", factors)
+        self._seal("(mul " + " ".join([t._text for t in factors]) + ")")
 
 
-@_term
 class Add(Term):
-    terms: tuple[Term, ...]
+    __slots__ = ("terms",)
+    _field = "terms"
+
+    def __init__(self, terms: tuple[Term, ...]):
+        terms = tuple(terms)
+        _set(self, "terms", terms)
+        self._seal("(sum " + " ".join([t._text for t in terms]) + ")" if terms else "zero")
 
 
-@_term
 class Compl(Term):
-    term: Term
+    __slots__ = ("term",)
+    _field = "term"
 
-    def __post_init__(self):
-        if not certified_projection(self.term):
+    def __init__(self, term: Term):
+        if not certified_projection(term):
             raise ValueError("complement of an uncertified projection term")
-        super().__post_init__()
+        _set(self, "term", term)
+        self._seal("(compl " + term._text + ")")
 
 
-@_term
 class Join(Term):
-    terms: tuple[Term, ...]
+    __slots__ = ("terms",)
+    _field = "terms"
 
-    def __post_init__(self):
-        for t in self.terms:
+    def __init__(self, terms: tuple[Term, ...]):
+        terms = tuple(terms)
+        for t in terms:
             if not certified_projection(t):
                 raise ValueError("join over an uncertified projection term")
-        super().__post_init__()
+        _set(self, "terms", terms)
+        self._seal("(join " + " ".join([t._text for t in terms]) + ")" if terms else "zero")
 
 
 class _Symbols(dict):
     """The terms of the clause symbols of one emitter call, each built once:
     ("S", f) is (gen f), ("S*", f) is (adj f), and ("Q", f) and ("P", f) are
-    the initial and final projection products of those two."""
+    the initial and final projection products of those two.  An axiom
+    clause side (a tuple of symbols, or None for zero; see `reps.Side`) is
+    built once too: the product of its symbols, a single symbol bare."""
 
-    def __missing__(self, key: tuple[str, str]) -> Term:
-        kind, f = key
-        if kind == "S":
-            term = Gen(f)
-        elif kind == "S*":
-            term = Adj(f)
+    def __missing__(self, key) -> Term:
+        if key is None:
+            term = Zero()
+        elif isinstance(key[0], tuple):
+            terms = tuple([self[s] for s in key])
+            term = terms[0] if len(terms) == 1 else Mul(terms)
         else:
-            s, t = self["S", f], self["S*", f]
-            term = Mul((t, s)) if kind == "Q" else Mul((s, t))
+            kind, f = key
+            if kind == "S":
+                term = Gen(f)
+            elif kind == "S*":
+                term = Adj(f)
+            else:
+                s, t = self["S", f], self["S*", f]
+                term = Mul((t, s)) if kind == "Q" else Mul((s, t))
         self[key] = term
         return term
 
@@ -190,33 +250,21 @@ def certified_projection(term: Term) -> bool:
 
 
 def render_term(term: Term) -> str:
-    """The text of a term, rendered once: it is stored on the term, so a
-    sub-term shared by many relations is rendered once per presentation."""
-    text = term._text
-    if text is not None:
-        return text
-    if isinstance(term, Mul):
-        text = "(mul " + " ".join([render_term(t) for t in term.factors]) + ")"
-    elif isinstance(term, Gen):
-        text = f"(gen {term.name})"
-    elif isinstance(term, Adj):
-        text = f"(adj {term.name})"
-    elif isinstance(term, One):
-        text = "one"
-    elif isinstance(term, Zero):
-        text = "zero"
-    elif isinstance(term, (Add, Join)) and not term.terms:
-        text = "zero"
-    elif isinstance(term, Add):
-        text = "(sum " + " ".join([render_term(t) for t in term.terms]) + ")"
-    elif isinstance(term, Join):
-        text = "(join " + " ".join([render_term(t) for t in term.terms]) + ")"
-    elif isinstance(term, Compl):
-        text = "(compl " + render_term(term.term) + ")"
-    else:
-        raise TypeError(f"unknown term {term!r}")
-    object.__setattr__(term, "_text", text)
-    return text
+    """The text of a term, stored on it when it was built."""
+    return term._text
+
+
+class Products(dict):
+    """A product table: (A, B) -> A @ B, each distinct pair of matrices
+    multiplied once, the first time it is read."""
+
+    def __missing__(self, pair: tuple[RatMat, RatMat]) -> RatMat:
+        a, b = pair
+        value = self[pair] = a @ b
+        return value
+
+    def times(self, a: RatMat, b: RatMat) -> RatMat:
+        return self[a, b]
 
 
 def eval_term(
@@ -224,12 +272,17 @@ def eval_term(
     lookup: Mapping[str, RatMat],
     dim: int,
     memo: dict[Term, RatMat] | None = None,
+    products: Products | None = None,
 ) -> RatMat:
     """The matrix of a term, with generators read from `lookup`.  `memo`
     holds the values of terms already evaluated under the same lookup and
-    dim; each sub-term is evaluated once per memo."""
+    dim, and every product is read from `products`: each sub-term is
+    evaluated once per memo, and each distinct pair of factors multiplied
+    once per table."""
     if memo is None:
         memo = {}
+    if products is None:
+        products = Products()
     value = memo.get(term)
     if value is not None:
         return value
@@ -242,16 +295,17 @@ def eval_term(
     elif isinstance(term, Zero):
         value = RatMat.zeros(dim)
     elif isinstance(term, Mul):
-        factors = [eval_term(t, lookup, dim, memo) for t in term.factors]
-        value = reduce(matmul, factors) if factors else RatMat.identity(dim)
+        factors = [eval_term(t, lookup, dim, memo, products) for t in term.factors]
+        value = reduce(products.times, factors) if factors else RatMat.identity(dim)
     elif isinstance(term, Add):
         value = RatMat.zeros(dim)
         for t in term.terms:
-            value = value + eval_term(t, lookup, dim, memo)
+            value = value + eval_term(t, lookup, dim, memo, products)
     elif isinstance(term, Join):
-        value = join((eval_term(t, lookup, dim, memo) for t in term.terms), dim)
+        terms = (eval_term(t, lookup, dim, memo, products) for t in term.terms)
+        value = join(terms, dim, products.times)
     elif isinstance(term, Compl):
-        value = RatMat.identity(dim) - eval_term(term.term, lookup, dim, memo)
+        value = RatMat.identity(dim) - eval_term(term.term, lookup, dim, memo, products)
     else:
         raise TypeError(f"unknown term {term!r}")
     memo[term] = value
@@ -282,8 +336,8 @@ def atom_mask(
         return mask
     mask = None
     if isinstance(term, Mul):
-        parts = [atom_mask(t, symbols, atoms, memo) for t in term.factors]
-        if None not in parts:
+        parts = _masks(term.factors, symbols, atoms, memo)
+        if parts is not None:
             mask = atoms.meet(parts)
         else:
             symbol = _projection_symbol(term)
@@ -294,8 +348,8 @@ def atom_mask(
     elif isinstance(term, Zero):
         mask = 0
     elif isinstance(term, Join):
-        parts = [atom_mask(t, symbols, atoms, memo) for t in term.terms]
-        if None not in parts:
+        parts = _masks(term.terms, symbols, atoms, memo)
+        if parts is not None:
             mask = reduce(or_, parts, 0)
     elif isinstance(term, Compl):
         inner = atom_mask(term.term, symbols, atoms, memo)
@@ -305,19 +359,47 @@ def atom_mask(
     return mask
 
 
-@dataclass(frozen=True)
-class Relation:
-    family: str
-    lhs: Term
-    rhs: Term
-    note: str = ""
+def _masks(terms, symbols, atoms, memo) -> list[int] | None:
+    """The `atom_mask` of each term, read from `memo` before walking, or
+    None at the first term that has none."""
+    parts = []
+    for t in terms:
+        mask = memo.get(t, _UNWALKED)
+        if mask is _UNWALKED:
+            mask = atom_mask(t, symbols, atoms, memo)
+        if mask is None:
+            return None
+        parts.append(mask)
+    return parts
 
-    def __post_init__(self):
-        # (family, rendered lhs, rendered rhs): the order and identity of
-        # relations in a presentation, rendered once per relation
-        object.__setattr__(
-            self, "key", (self.family, render_term(self.lhs), render_term(self.rhs))
-        )
+
+class Relation(_Frozen):
+    """lhs = rhs in one family.  Its key, (family, lhs text, rhs text), is
+    the order and identity of relations in a presentation."""
+
+    __slots__ = ("family", "lhs", "rhs", "note", "key")
+
+    def __init__(self, family: str, lhs: Term, rhs: Term, note: str = ""):
+        _set(self, "family", family)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "note", note)
+        _set(self, "key", (family, lhs._text, rhs._text))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Relation:
+            return NotImplemented
+        return (self.key == other.key and self.note == other.note
+                and self.lhs == other.lhs and self.rhs == other.rhs)
+
+    def __hash__(self) -> int:
+        return hash((self.key, self.note))
+
+    def __repr__(self) -> str:
+        return (f"Relation(family={self.family!r}, lhs={self.lhs!r}, "
+                f"rhs={self.rhs!r}, note={self.note!r})")
 
     def render(self) -> str:
         family, lhs, rhs = self.key
@@ -345,14 +427,6 @@ def _finish(style: str, generators, relations) -> Presentation:
     return Presentation(style, tuple(sorted(generators)), ordered)
 
 
-def _side(side: Side, sym: _Symbols) -> Term:
-    """The term of an axiom clause side; a single symbol stays bare."""
-    if side is None:
-        return Zero()
-    terms = tuple([sym[s] for s in side])
-    return terms[0] if len(terms) == 1 else Mul(terms)
-
-
 def emit_generic(
     table: SemigroupoidTable,
     tight: bool = True,
@@ -365,7 +439,7 @@ def emit_generic(
     Toeplitz presentation."""
     sym = _Symbols()
     rels = [
-        Relation(family, _side(lhs, sym), _side(rhs, sym))
+        Relation(family, sym[lhs], sym[rhs])
         for _, family, _, lhs, rhs in axiom_clauses(table)
     ]
     if tight:
@@ -519,6 +593,7 @@ def evaluate(
                     symbols[kind, g] = mask
     masks: dict[Term, int | None] = {}
     memo: dict[Term, RatMat] = {}
+    products = Products()
     bad = []
     for r in pres.relations:
         lhs = rhs = None
@@ -526,7 +601,8 @@ def evaluate(
             lhs = atom_mask(r.lhs, symbols, atoms, masks)
             rhs = None if lhs is None else atom_mask(r.rhs, symbols, atoms, masks)
         if lhs is None or rhs is None:
-            lhs, rhs = (eval_term(t, lookup, rep.dim, memo) for t in (r.lhs, r.rhs))
+            lhs = eval_term(r.lhs, lookup, rep.dim, memo, products)
+            rhs = eval_term(r.rhs, lookup, rep.dim, memo, products)
         if lhs != rhs:
             bad.append(r)
     return tuple(bad)

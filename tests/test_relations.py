@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sgpd.relations
 from sgpd.covers import BoundExceededError
@@ -18,9 +19,11 @@ from sgpd.relations import (
     Mul,
     One,
     Presentation,
+    Products,
     Relation,
     SourcesPresent,
     Zero,
+    certified_projection,
     cross_check,
     emit_cuntz_krieger,
     emit_generic,
@@ -488,7 +491,7 @@ class TestSharedTerms:
         for t in distinct:
             unrendered = fresh(t)
             before = hash(unrendered)
-            assert t._text is not None and unrendered._text is None
+            assert unrendered._text == t._text  # set when the term is built
             assert hash(t) == before and t == unrendered
             render_term(unrendered)
             assert hash(unrendered) == before and t == unrendered
@@ -662,3 +665,191 @@ class TestEvaluateOnAtoms:
         rename = {"e": "w"}
         assert evaluate(pres, extra, rename) == matrix_violations(pres, extra, rename)
         assert evaluate(pres, extra, rename) != evaluate(pres, extra)
+
+
+# ---- one product per distinct pair of factor matrices
+
+
+def _permutation_rep(kg):
+    """The two-loop 2-graph's 3x3 unitary representation b -> P, r -> P^2
+    for the cyclic permutation P: its 25 morphisms take three matrices."""
+    assign = {t: _cyclic_permutation(sum(1 if e == "b" else 2 for e in word))
+              for t, word in kg.normal_form.items()}
+    return Representation(kg.table, 3, assign)
+
+
+def _repeating_cases(fix_c, fix_d, golden):
+    """(name, presentation, representation) whose matrices repeat: the
+    permutation representation of the two-loop 2-graph at (4,4), and
+    all-ones and zero representations of the fixtures, which have atoms,
+    and the two alternating matrices of `_atom_free_rep`, which have none."""
+    kg = build_kgraph(two_loops(), (4, 4))
+    rep = _permutation_rep(kg)
+    toeplitz = emit_generic(kg.table, tight=False)
+    yield "perm44-toeplitz", toeplitz, rep
+    yield "perm44-kp", emit_kumjian_pask(kg), rep
+    golden3 = build_markov(golden, 3).table
+    presentations = [
+        ("fix_c-tight", emit_generic(fix_c.table), fix_c.table),
+        ("fix_c-kp", emit_kumjian_pask(fix_c), fix_c.table),
+        ("fix_d-tight", emit_generic(fix_d.table), fix_d.table),
+        ("fix_d-kp", emit_kumjian_pask(fix_d), fix_d.table),
+        ("golden-tight", emit_generic(golden3), golden3),
+        ("golden-ck", emit_cuntz_krieger(golden), golden3),
+        ("perm44-toeplitz", toeplitz, kg.table),
+    ]
+    for name, pres, table in presentations:
+        yield f"{name}-ones", pres, all_ones_rep(table)
+        for dim in (1, 2):
+            yield f"{name}-zero{dim}", pres, zero_rep(table, dim)
+        yield f"{name}-alternating", pres, _atom_free_rep(table)
+
+
+class TestProductTable:
+    def test_violations_match_matrix_evaluator(self, fix_c, fix_d, golden):
+        violated = 0
+        for name, pres, rep in _repeating_cases(fix_c, fix_d, golden):
+            want = matrix_violations(pres, rep)
+            assert evaluate(pres, rep) == want, name
+            if len(pres.relations) < 500:
+                assert want == ref_violations(pres, rep), name
+            violated += len(want)
+        assert violated > 1000
+
+    def test_one_product_per_distinct_pair(self, monkeypatch, fix_c, fix_d, golden):
+        """Each evaluate call multiplies each distinct (A, B) once, joins
+        included: on the permutation representation, whose values are
+        powers of P and zero, that is at most 16 products for 1,700 and 293
+        relations."""
+        product = RatMat.__matmul__
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return product(a, b)
+
+        without_atoms = 0
+        for name, pres, rep in _repeating_cases(fix_c, fix_d, golden):
+            without_atoms += rep._atoms is None  # built before counting
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(RatMat, "__matmul__", counted)
+                evaluate(pres, rep)
+            assert len(calls) == len(set(calls)), name
+            if name.startswith("perm44") and rep.dim == 3:
+                assert 0 < len(calls) <= 16, name
+        assert without_atoms == 7
+
+    def test_eval_term_shares_a_table(self):
+        """eval_term reads every product from the table it is given, and
+        fills it once per pair."""
+        p = _cyclic_permutation(1)
+        lookup = {"a": p, "b": p}
+        products = Products()
+        first = eval_term(Mul((Gen("a"), Gen("b"))), lookup, 3, {}, products)
+        assert products == {(p, p): first}
+        again = eval_term(Mul((Gen("b"), Gen("a"), Gen("a"))), lookup, 3, {}, products)
+        assert again == RatMat.identity(3)
+        assert list(products) == [(p, p), (first, p)]
+
+
+# ---- the term contract on random term trees
+
+TERMS_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+NAMES = st.sampled_from(["f", "g", "fg"])
+_LEAVES = st.one_of(
+    st.builds(Gen, NAMES),
+    st.builds(Adj, NAMES),
+    st.builds(One),
+    st.builds(Zero),
+    NAMES.map(q_term),
+    NAMES.map(p_term),
+)
+
+
+def _branches(children):
+    projections = children.filter(certified_projection)
+    some = st.lists(children, max_size=3).map(tuple)
+    return st.one_of(
+        some.map(Mul),
+        some.map(Add),
+        projections.map(Compl),
+        st.lists(projections, max_size=3).map(tuple).map(Join),
+    )
+
+
+TERMS = st.recursive(_LEAVES, _branches, max_leaves=10)
+
+
+def shape(term):
+    """The class and fields of a term, all the way down, as nested tuples."""
+    if isinstance(term, (Gen, Adj)):
+        return type(term).__name__, term.name
+    if isinstance(term, (One, Zero)):
+        return (type(term).__name__,)
+    if isinstance(term, Compl):
+        return "Compl", shape(term.term)
+    children = term.factors if isinstance(term, Mul) else term.terms
+    return type(term).__name__, tuple(shape(t) for t in children)
+
+
+def ref_render(term):
+    """The text of a term by the rendering rules, from its fields alone."""
+    if isinstance(term, (Gen, Adj)):
+        return f"({'gen' if isinstance(term, Gen) else 'adj'} {term.name})"
+    if isinstance(term, One):
+        return "one"
+    if isinstance(term, Zero):
+        return "zero"
+    if isinstance(term, Compl):
+        return f"(compl {ref_render(term.term)})"
+    if isinstance(term, Mul):
+        return "(mul " + " ".join(ref_render(t) for t in term.factors) + ")"
+    if not term.terms:
+        return "zero"
+    word = "sum" if isinstance(term, Add) else "join"
+    return f"({word} " + " ".join(ref_render(t) for t in term.terms) + ")"
+
+
+class TestTermContract:
+    @TERMS_FUZZ
+    @given(TERMS, TERMS, st.booleans())
+    def test_equal_exactly_when_class_and_fields_are(self, a, b, rebuild):
+        if rebuild:
+            b = fresh(a)
+        assert (a == b) == (shape(a) == shape(b))
+        assert (a != b) == (shape(a) != shape(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert a == a and hash(a) == hash(fresh(a))
+
+    @TERMS_FUZZ
+    @given(TERMS)
+    def test_fresh_term_renders_to_its_stored_text(self, term):
+        text = ref_render(term)
+        assert render_term(term) == term._text == text
+        assert render_term(fresh(term)) == text
+        assert eval(repr(term), vars(sgpd.relations)) == term
+
+    @TERMS_FUZZ
+    @given(TERMS, st.sampled_from(["name", "factors", "terms", "term", "_text", "_hash", "other"]))
+    def test_setting_an_attribute_raises(self, term, attr):
+        before = (repr(term), term._text, hash(term))
+        with pytest.raises(AttributeError):
+            setattr(term, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(term, attr)
+        assert not hasattr(term, "__dict__")
+        assert (repr(term), term._text, hash(term)) == before
+
+    def test_relation_is_immutable_and_keyed_by_texts(self):
+        q, p = q_term("f"), p_term("f")
+        r = Relation("tck1", Mul((q, p)), Mul((p, q)), "note")
+        assert r.key == ("tck1", render_term(r.lhs), render_term(r.rhs))
+        assert r == Relation("tck1", fresh(r.lhs), fresh(r.rhs), "note")
+        assert hash(r) == hash(Relation("tck1", fresh(r.lhs), fresh(r.rhs), "note"))
+        assert r != Relation("tck1", r.lhs, r.rhs)
+        for attr in ("family", "lhs", "key", "other"):
+            with pytest.raises(AttributeError):
+                setattr(r, attr, None)
+        assert not hasattr(r, "__dict__")
