@@ -22,10 +22,134 @@ of any follower set (adjoining it would itself break associativity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
+
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """Immutable instances: setting or deleting any attribute raises
+    AttributeError.  Constructors set their fields with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _PostInit:
+    def __repr__(self):
+        return "POST_INIT"
+
+
+# the default of a record field that `__post_init__` sets, not `__init__`
+POST_INIT = _PostInit()
+
+
+def _names(names) -> str:
+    """'a', 'a' and 'b', or 'a', 'b', and 'c', as Python's own messages
+    list missing arguments."""
+    quoted = [repr(n) for n in names]
+    if len(quoted) < 3:
+        return " and ".join(quoted)
+    return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
+
+
+class Record(Frozen):
+    """An immutable record whose class defines no code when it is made.
+
+    The fields are the names annotated in the class body, in order, after
+    those of the bases.  A class attribute of the same name is the field's
+    default; the default POST_INIT marks a field that `__post_init__` sets.
+    `__init__` takes the other fields, positionally or by keyword, and then
+    calls `__post_init__` when the class has one.  Equality needs the same
+    class and equal fields, the hash is of the fields, and `repr` reads
+    ``Name(field=value, ...)``.  Instances keep a ``__dict__``, so
+    `functools.cached_property` works on them."""
+
+    _fields: tuple[str, ...] = ()  # every field, in order
+    _params: tuple[str, ...] = ()  # the fields __init__ takes, in order
+    _defaults: dict = {}  # param -> default
+    _checked = False  # whether the class has a __post_init__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = list(cls._fields)
+        late = [f for f in fields if f not in cls._params]
+        for name in cls.__annotations__:
+            if name not in fields:
+                fields.append(name)
+            if cls.__dict__.get(name) is POST_INIT:
+                late.append(name)
+                delattr(cls, name)
+        params = tuple(f for f in fields if f not in late)
+        defaults = {f: getattr(cls, f) for f in params if hasattr(cls, f)}
+        for before, after in zip(params, params[1:]):
+            if before in defaults and after not in defaults:
+                raise TypeError(f"non-default argument {after!r} follows default argument")
+        cls._fields, cls._params, cls._defaults = tuple(fields), params, defaults
+        cls._checked = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        params = self._params
+        if kwargs or len(args) != len(params):
+            args = self._bind(args, kwargs)
+        for name, value in zip(params, args):
+            _set(self, name, value)
+        if self._checked:
+            self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        """The field values of a call, in order, or the TypeError Python
+        raises for a function with these parameters and defaults."""
+        params, defaults = cls._params, cls._defaults
+        where = f"{cls.__qualname__}.__init__()"
+        values = dict(zip(params, args))
+        for key in kwargs:
+            if key not in params:
+                raise TypeError(f"{where} got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{where} got multiple values for argument {key!r}")
+        if len(args) > len(params):
+            most = len(params) + 1
+            least = most - len(defaults)
+            takes = f"from {least} to {most}" if defaults else f"{most}"
+            given = len(args) + 1
+            raise TypeError(
+                f"{where} takes {takes} positional argument{'s' * (most != 1)} "
+                f"but {given} {'was' if given == 1 else 'were'} given"
+            )
+        values.update(kwargs)
+        missing = [p for p in params if p not in values and p not in defaults]
+        if missing:
+            raise TypeError(
+                f"{where} missing {len(missing)} required positional "
+                f"argument{'s' * (len(missing) != 1)}: {_names(missing)}"
+            )
+        return [values[p] if p in values else defaults[p] for p in params]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
 
 
 class SgpdError(Exception):
@@ -93,8 +217,7 @@ class UnionFind:
         self.parent[rb] = ra
 
 
-@dataclass(frozen=True)
-class AssociativityViolation:
+class AssociativityViolation(Record):
     """A triple breaking one of the three axiom cases, re-checkable by hand.
 
     kind is "missing-pair" (the named pair is neither composable nor
@@ -108,8 +231,7 @@ class AssociativityViolation:
     products: tuple[str, str] | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     violation: AssociativityViolation | None = None
     checked_triples: int = 0
@@ -118,8 +240,7 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SemigroupoidTable:
+class SemigroupoidTable(Record):
     """Carrier + composable pairs + product map, with truncation metadata.
 
     ``product`` keys are exactly the composable pairs.  Use ``build`` for
@@ -135,7 +256,7 @@ class SemigroupoidTable:
     product: Mapping[tuple[str, str], str]
     boundary: frozenset[str] = frozenset()
     artifact_pairs: frozenset[tuple[str, str]] = frozenset()
-    composable: frozenset[tuple[str, str]] = field(init=False)
+    composable: frozenset[tuple[str, str]] = POST_INIT
 
     def __post_init__(self):
         # each condition is decided on whole sets; the walk that names a
@@ -163,7 +284,7 @@ class SemigroupoidTable:
                     raise MalformedTable(f"artifact pair ({f}, {g}) not in carrier")
                 if (f, g) in composable:
                     raise MalformedTable(f"pair ({f}, {g}) both composable and artifact")
-        object.__setattr__(self, "composable", composable)
+        _set(self, "composable", composable)
 
     @classmethod
     def build(
@@ -341,15 +462,14 @@ def intersects(table: SemigroupoidTable, f: str, g: str) -> str | None:
     return min(table.multiples[f] & table.multiples[g], default=None)
 
 
-class Witness:
+class Witness(Record):
     """Base of the records a check returns instead of True: falsy, so that
-    `if check(...)` reads right.  Subclasses are frozen dataclasses."""
+    `if check(...)` reads right."""
 
     def __bool__(self) -> bool:
         return False
 
 
-@dataclass(frozen=True)
 class MonicCounterexample(Witness):
     """Distinct g, h with fg = fh."""
 

@@ -28,13 +28,14 @@ that meets each distinct key pair once however many families share it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
 
-from .core import SemigroupoidTable, SgpdError, Witness, d_set, divides, intersects
+from .core import Record, SemigroupoidTable, SgpdError, Witness, d_set, divides, intersects
+
+_set = object.__setattr__
 
 # search nodes the covering enumeration may visit before it gives up
 NODE_CAP = 200_000
@@ -52,19 +53,26 @@ class BoundExceededError(SgpdError):
     """Work past a bound: a minimal covering larger than the requested
     size exists, the covering search passed NODE_CAP, a Markov truncation
     would have more than `markov.WORD_CAP` words, a k-graph truncation
-    more than `kgraph.WORD_CAP` edge words, or a Cuntz-Krieger presentation
-    more than `relations.EL13_CAP` el13 relations.  These three caps are
-    checked on a count, before anything is built."""
+    more than `kgraph.WORD_CAP` edge words or `kgraph.MORPHISM_CAP`
+    morphisms, or a Cuntz-Krieger presentation more than
+    `relations.EL13_CAP` el13 relations.  These four caps are checked on a
+    count, before anything is built."""
 
     def __init__(self, message, oversized=None):
         super().__init__(message)
         self.oversized = oversized
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(Record):
     target: frozenset[str]
     candidate: frozenset[str]
+
+    def __init__(self, target: frozenset[str], candidate: frozenset[str]):
+        # written out, not Record's generic one: a covering search can
+        # return hundreds of these (676 on the full 2-shift at length 5)
+        _set(self, "target", target)
+        _set(self, "candidate", candidate)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.candidate <= self.target:
@@ -73,12 +81,10 @@ class CoverSpec:
             )
 
 
-@dataclass(frozen=True)
 class Uncovered(Witness):
     element: str
 
 
-@dataclass(frozen=True)
 class IntersectingPair(Witness):
     a: str
     b: str

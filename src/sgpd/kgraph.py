@@ -11,23 +11,30 @@ validated exhaustively within the truncation rather than assumed.
 Composable pairs whose degrees sum past the bound become artifact pairs of
 the underlying table, and morphisms sitting on the bound in some colour
 are flagged boundary, mirroring the Markov truncation conventions.  The
-edge words are counted before they are built, and a truncation with more
-than WORD_CAP of them is refused with ``BoundExceededError``.
+edge words and the morphisms are counted before anything is built, and a
+truncation with more than WORD_CAP edge words or more than MORPHISM_CAP
+morphisms is refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .core import SemigroupoidTable, SgpdError, UnionFind, Witness
+from .core import Record, SemigroupoidTable, SgpdError, UnionFind, Witness
 from .covers import BoundExceededError, CoverSpec, IntersectingPair, Uncovered, is_partition
 
 # nonempty edge words a truncation may have; build_kgraph counts them first
 # and refuses more (the two-loop 2-graph has 48,618 words at degree (8,8),
 # built in about 0.6 s on a 2-CPU host, and 705,430 at (10,10))
 WORD_CAP = 50_000
+
+# morphisms (objects included) a truncation may have; build_kgraph counts
+# them first and refuses more.  The table grows as their square and its
+# associativity check as their cube: the one-loop 1-graph has 300 at degree
+# 299, built and checked in about 3 s on a 2-CPU host, and 401 at degree
+# 400, about 8 s.
+MORPHISM_CAP = 300
 
 
 class InconsistentSquares(SgpdError):
@@ -42,8 +49,7 @@ class DegreeOutOfRange(SgpdError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     name: str
     color: int
     src: str
@@ -53,8 +59,7 @@ class Edge:
 Path = tuple[str, ...]  # edge names in composition order; s(w[i]) = r(w[i+1])
 
 
-@dataclass(frozen=True)
-class KGraphSkeleton:
+class KGraphSkeleton(Record):
     k: int
     objects: tuple[str, ...]
     edges: tuple[Edge, ...]
@@ -151,27 +156,45 @@ def _split_walk(
             yield f, n, splits.get((f, n), [])
 
 
-def _word_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
+def _count_words(
+    skeleton: KGraphSkeleton, max_degree: tuple[int, ...], cap: int, in_order: bool
+) -> int:
     """The number of nonempty composable edge words of degree within
-    `max_degree`, counted length by length over (source, degree) states.
-    The count stops once no word extends, and once it passes WORD_CAP,
-    returning some number above the cap.  Each length adds at least one
-    word, so the count takes at most WORD_CAP + 1 steps however large the
-    bound is."""
+    `max_degree`, or with `in_order` of the colour-sorted ones, counted
+    length by length over (source, degree, least next colour) states.  The
+    count stops once no word extends, and once it passes `cap`, returning
+    some number above the cap.  Each length adds at least one word, so the
+    count takes at most cap + 1 steps however large the bound is."""
     into = skeleton.edges_into
-    ends = {(v, (0,) * skeleton.k): 1 for v in skeleton.objects}  # empty words
+    ends = {(v, (0,) * skeleton.k, 1): 1 for v in skeleton.objects}  # empty words
     total = 0
-    while ends and total <= WORD_CAP:
-        longer: dict[tuple[str, tuple[int, ...]], int] = {}
-        for (s, deg), count in ends.items():
+    while ends and total <= cap:
+        longer: dict[tuple[str, tuple[int, ...], int], int] = {}
+        for (s, deg, least), count in ends.items():
             for e in into[s]:
                 c = e.color - 1
-                if deg[c] < max_degree[c]:
-                    state = (e.src, deg[:c] + (deg[c] + 1,) + deg[c + 1 :])
+                if deg[c] < max_degree[c] and e.color >= least:
+                    next_deg = deg[:c] + (deg[c] + 1,) + deg[c + 1 :]
+                    state = (e.src, next_deg, e.color if in_order else 1)
                     longer[state] = longer.get(state, 0) + count
         ends = longer
         total += sum(ends.values())
     return total
+
+
+def _word_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
+    """The number of nonempty edge words within `max_degree`, or some
+    number above WORD_CAP once past it."""
+    return _count_words(skeleton, max_degree, WORD_CAP, False)
+
+
+def _morphism_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
+    """The number of morphisms within `max_degree`, or some number above
+    MORPHISM_CAP once past it: the objects plus the colour-sorted edge
+    words, since each morphism of a consistent skeleton has exactly one
+    colour-sorted word, its normal form."""
+    objects = len(skeleton.objects)
+    return objects + _count_words(skeleton, max_degree, MORPHISM_CAP - objects, True)
 
 
 def _validate_squares(skeleton: KGraphSkeleton) -> dict[tuple[str, str], tuple[str, str]]:
@@ -236,8 +259,7 @@ def _square_classes(
     return list(classes.values())
 
 
-@dataclass(frozen=True)
-class KGraph:
+class KGraph(Record):
     skeleton: KGraphSkeleton
     max_degree: tuple[int, ...]
     table: SemigroupoidTable
@@ -280,9 +302,9 @@ def build_kgraph(
 ) -> KGraph:
     """Materialise all morphisms of degree <= max_degree and validate the
     defining identities (degree additivity, unique factorisation).  The
-    edge words are counted first: past WORD_CAP this raises
-    BoundExceededError before building any, and otherwise the build is
-    cross-checked against the count.
+    edge words and the morphisms are counted first: past WORD_CAP or
+    MORPHISM_CAP this raises BoundExceededError before building any, and
+    otherwise the build is cross-checked against both counts.
 
     The words are numbered in sorted order and closed under square moves
     by a union-find on those numbers.  Each class must hold exactly one
@@ -299,6 +321,11 @@ def build_kgraph(
     if expected > WORD_CAP:
         raise BoundExceededError(
             f"more than {WORD_CAP} edge words within degree {max_degree}"
+        )
+    morphisms = _morphism_count(skeleton, max_degree)
+    if morphisms > MORPHISM_CAP:
+        raise BoundExceededError(
+            f"more than {MORPHISM_CAP} morphisms within degree {max_degree}"
         )
 
     color = {e.name: e.color for e in skeleton.edges}
@@ -325,8 +352,12 @@ def build_kgraph(
                 )
         words += new_frontier
         frontier = new_frontier
-    if len(words) != expected:
-        raise SgpdError(f"word census mismatch: enumerated {len(words)}, expected {expected}")
+    normal_forms = len(skeleton.objects) + sum(flags[3] for _, flags in words)
+    if len(words) != expected or normal_forms != morphisms:
+        raise SgpdError(
+            f"word census mismatch: enumerated {len(words)} words and {normal_forms} "
+            f"morphisms, expected {expected} and {morphisms}"
+        )
     words.sort()
 
     classes = _square_classes([w for w, _ in words], swap)
@@ -420,8 +451,7 @@ def factorize(kg: KGraph, f: str, n: Sequence[int], m: Sequence[int]) -> tuple[s
     return kg.factorizations[(f, n)]
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(Record):
     vertex: str
     n: tuple[int, ...]
     members: frozenset[str]
@@ -443,7 +473,6 @@ def degree_slice(kg: KGraph, v: str, n: Sequence[int]) -> DegreeSlice:
     return DegreeSlice(v, n, kg.slices.get((v, n), frozenset()))
 
 
-@dataclass(frozen=True)
 class EmptySlice(Witness):
     vertex: str
     n: tuple[int, ...]
@@ -459,7 +488,6 @@ def rfns_check(kg: KGraph):
     return True
 
 
-@dataclass(frozen=True)
 class SliceWitness(Witness):
     kind: str
     detail: tuple
@@ -499,14 +527,12 @@ def common_extensions(
     return out
 
 
-@dataclass(frozen=True)
-class DegreeViolation:
+class DegreeViolation(Record):
     kind: str  # "additivity", "no-factorization", "non-unique-factorization"
     detail: tuple
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(Record):
     additive: bool
     violations: tuple[DegreeViolation, ...]
 

@@ -16,12 +16,11 @@ the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
-from .core import SemigroupoidTable, SgpdError, Witness
+from .core import Record, SemigroupoidTable, SgpdError, Witness
 from .covers import BoundExceededError
 
 # admissible words a truncation may have; build_markov counts them first and
@@ -53,8 +52,7 @@ class _Follows(dict):
         raise UnknownLetter(f"letter {letter!r} not in alphabet")
 
 
-@dataclass(frozen=True)
-class Matrix01:
+class Matrix01(Record):
     alphabet: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
 
@@ -104,8 +102,7 @@ def word_token(matrix: Matrix01, word: Sequence[str]) -> str:
     return sep.join(word)
 
 
-@dataclass(frozen=True)
-class MarkovTruncation:
+class MarkovTruncation(Record):
     matrix: Matrix01
     max_len: int
     table: SemigroupoidTable
@@ -220,7 +217,6 @@ def follower_letters(
     return frozenset(meet.difference(*(follows[y] for y in forbidden)))
 
 
-@dataclass(frozen=True)
 class GraphObstruction(Witness):
     """Entries (i,j)=1, (i2,j)=1, (i2,j2)=1 but (i,j2)=0: any source/range
     assignment would force s(i)=r(j2) and contradict the zero entry."""
@@ -316,7 +312,6 @@ def enumerate_partitions(
     return sorted(cuts((letter,)), key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
 class LemmaWitness(Witness):
     kind: str
     detail: tuple

@@ -27,6 +27,8 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
+from .core import Frozen
+
 _set = object.__setattr__
 
 Num = tuple[tuple[int, ...], ...]
@@ -50,7 +52,7 @@ def _new(num: Num, den: int) -> "RatMat":
     return mat
 
 
-class RatMat:
+class RatMat(Frozen):
     """An immutable exact-rational matrix: `num / den` in canonical form."""
 
     __slots__ = ("num", "den")
@@ -71,9 +73,6 @@ class RatMat:
             tuple(x.numerator * (den // x.denominator) for x in row) for row in rows
         ))
         _set(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RatMat is immutable: cannot set {name!r}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "RatMat":

@@ -35,13 +35,12 @@ multiplied once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
 from typing import Mapping
 
-from .core import SemigroupoidTable, SgpdError
+from .core import Frozen, Record, SemigroupoidTable, SgpdError
 from .covers import BoundExceededError, object_families, selector_families
 from .kgraph import KGraph, rfns_check
 from .markov import Matrix01, follower_letters
@@ -64,26 +63,17 @@ class SourcesPresent(SgpdError):
 _set = object.__setattr__
 
 
-class _Frozen:
-    """Slotted and immutable: each field is set once, by `__init__`."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-
-class Term(_Frozen):
+class Term(Frozen):
     """A term of a relation: an immutable value with at most one field,
     named by `_field`.  `__init__` sets the field, the text and the hash
     once.  The text is built from the children's stored texts, so a
     sub-term shared by many relations is rendered once, and the hash is of
     the class and the text, so hashing never walks the sub-terms.  Equality
     is structural: the same class and equal fields (the text alone is not
-    enough, since an empty sum, an empty join and zero all read "zero")."""
+    enough, since an empty sum, an empty join and zero all read "zero").
+    Terms are slotted and take their immutability from `core.Frozen`, as
+    the records of `core.Record` do, and `repr` reads like a record's:
+    ``Mul(factors=(...))``."""
 
     __slots__ = ("_text", "_hash")
     _field = ""
@@ -373,9 +363,12 @@ def _masks(terms, symbols, atoms, memo) -> list[int] | None:
     return parts
 
 
-class Relation(_Frozen):
+class Relation(Frozen):
     """lhs = rhs in one family.  Its key, (family, lhs text, rhs text), is
-    the order and identity of relations in a presentation."""
+    the order and identity of relations in a presentation.  Slotted and
+    immutable like a term; equality (the same class and equal fields) and
+    `repr` read like a `core.Record`'s with the fields family, lhs, rhs and
+    note, and the hash is of the key and the note."""
 
     __slots__ = ("family", "lhs", "rhs", "note", "key")
 
@@ -406,8 +399,7 @@ class Relation(_Frozen):
         return f"rel: {family}: {lhs} = {rhs}"
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     style: str
     generators: tuple[str, ...]
     relations: tuple[Relation, ...]
@@ -536,8 +528,7 @@ def emit_kumjian_pask(kg: KGraph, max_cover: int = 6) -> Presentation:
     return _finish("kumjian-pask", morphisms, rels)
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
     a_style: str
     b_style: str
     a_violations: tuple[Relation, ...]

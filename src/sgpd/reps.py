@@ -42,13 +42,12 @@ category criterion recovers under the nondegeneracy surrogate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations
 from operator import matmul
 from typing import Iterable, Iterator, Mapping
 
-from .core import SemigroupoidTable, SgpdError, Witness, d_set
+from .core import Record, SemigroupoidTable, SgpdError, Witness, d_set
 from .covers import CoverSpec, is_partition, object_families, selector_groups
 from .kgraph import KGraph
 from .matrices import RatMat
@@ -77,8 +76,7 @@ class DegenerateRepresentation(SgpdError):
     not imply full tightness for this representation."""
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """An assignment of dim x dim matrices to the elements of a table.
 
     `assign` is treated as immutable: each S_f, its adjoint and its initial
@@ -130,8 +128,7 @@ class Representation:
         return self._symbols["P", x]
 
 
-@dataclass(frozen=True)
-class ProjectionAtoms:
+class ProjectionAtoms(Record):
     """The initial and final projections of a representation as bitmasks
     over the atoms of the Boolean algebra they generate: bit i is set when
     atom i (the matrix `atoms[i]`) lies under the projection.  `full`
@@ -247,16 +244,14 @@ def _first_noncommuting(rep: Representation) -> Clause:
     raise AssertionError("projection atoms missing without an obstruction")
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(Record):
     tag: str
     elements: tuple[str, ...]
     got: RatMat
     want: RatMat
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     ok: bool
     failure: AxiomFailure | None = None
 
@@ -431,8 +426,7 @@ def _first_failure_on_atoms(rep: Representation, atoms: ProjectionAtoms) -> Clau
     return _pair_clause(table, tag, f, g)
 
 
-@dataclass(frozen=True)
-class TightFailure:
+class TightFailure(Record):
     required: tuple[str, ...]
     forbidden: tuple[str, ...]
     covering: tuple[str, ...]
@@ -440,8 +434,7 @@ class TightFailure:
     rhs: RatMat
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(Record):
     tight: bool
     failures: tuple[TightFailure, ...]
     families_checked: int
@@ -532,7 +525,6 @@ def _join_masks(
     return joins, set(joins)
 
 
-@dataclass(frozen=True)
 class NonzeroSpring(Witness):
     element: str
     kind: str  # "spring" or "derived-dead"
@@ -551,7 +543,6 @@ def spring_vanishing_check(rep: Representation):
     return True
 
 
-@dataclass(frozen=True)
 class CollapseWitness(Witness):
     f: str
     g: str
@@ -594,7 +585,6 @@ def sole_idempotent_check(
     return se == se @ se and se == se.T and se == rep.initial(f)
 
 
-@dataclass(frozen=True)
 class CategoryFactsWitness(Witness):
     clause: str
     elements: tuple[str, ...]

@@ -14,19 +14,16 @@ not a spring; only elements with no artifact pairs count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .core import SemigroupoidTable, UnionFind
+from .core import Record, SemigroupoidTable, UnionFind
 
 
-@dataclass(frozen=True)
-class SpringReport:
+class SpringReport(Record):
     springs: frozenset[str]
     derived_dead: frozenset[str]
 
 
-@dataclass(frozen=True)
-class SpringExtension:
+class SpringExtension(Record):
     base: SemigroupoidTable
     idempotents: dict[str, frozenset[str]]  # fresh token -> springs it serves
     extended: SemigroupoidTable

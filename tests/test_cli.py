@@ -138,6 +138,21 @@ class TestExitCodes:
             f"within degree {degree}\n",
         )
 
+    @pytest.mark.parametrize("maxdeg", ["1000", "49999"])
+    @pytest.mark.parametrize(
+        "verb", [["kgraph", "check"], ["relations", "--style", "kp", "--kgr"]]
+    )
+    def test_maxdeg_over_morphism_cap(self, tmp_path, maxdeg, verb):
+        # the one-loop 1-graph: under the edge-word cap, over the morphism cap
+        path = tmp_path / "loop.kgr"
+        path.write_text("k: 1\nobjects: v\nedge: e 1 v v\n")
+        code, text = run([*verb, str(path), "--maxdeg", maxdeg])
+        assert (code, text) == (
+            1,
+            f"bound exceeded: more than {sgpd.kgraph.MORPHISM_CAP} morphisms "
+            f"within degree ({maxdeg},)\n",
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,8 +12,10 @@ from sgpd.kgraph import (
     DegreeOutOfRange,
     Edge,
     InconsistentSquares,
+    KGraph,
     KGraphSkeleton,
     _box,
+    _morphism_count,
     _splits,
     _word_count,
     _validate_squares,
@@ -294,6 +296,100 @@ def matches_direct_method(skeleton, bound):
     return True
 
 
+def ref_sorted_words(skeleton, max_degree):
+    """The colour-sorted edge words within `max_degree`, enumerated one by
+    one with their colours and degrees recounted."""
+    out = []
+    frontier = [((), v) for v in skeleton.objects]
+    while frontier:
+        longer = []
+        for word, s in frontier:
+            for e in skeleton.edges:
+                new_word = word + (e.name,)
+                colors = [skeleton.edge(n).color for n in new_word]
+                degree = [colors.count(c) for c in range(1, skeleton.k + 1)]
+                if (e.dst == s and colors == sorted(colors)
+                        and all(d <= b for d, b in zip(degree, max_degree))):
+                    longer.append((new_word, e.src))
+        out += [w for w, _ in longer]
+        frontier = longer
+    return out
+
+
+def one_loop():
+    return KGraphSkeleton(1, ("v",), (Edge("e", 1, "v", "v"),), ())
+
+
+class TestMorphismCap:
+    @pytest.mark.parametrize("bound", list(iproduct(range(5), range(5))))
+    def test_count_equals_the_morphisms(self, bound):
+        for skeleton in (two_loops(), two_vertex_skeleton()):
+            kg = build_kgraph(skeleton, bound)
+            assert _morphism_count(skeleton, bound) == len(kg.normal_form)
+
+    def test_fixtures(self, fix_c, fix_d):
+        for kg in (fix_c, fix_d, build_kgraph(three_colours(), (2, 1, 1))):
+            assert _morphism_count(kg.skeleton, kg.max_degree) == len(kg.normal_form)
+        for bound in [(1, 1, 1), (2, 2, 2)]:
+            # the count reads the words alone, squares or not
+            want = 1 + len(ref_sorted_words(broken_cube(), bound))
+            assert _morphism_count(broken_cube(), bound) == want
+
+    def test_random_skeletons(self):
+        built = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            if seed % 2:
+                skeleton = random_rank_two(rng)
+                bound = (rng.randint(0, 3), rng.randint(0, 3))
+            else:
+                objects = ("u", "v", "w")[: rng.randint(1, 3)]
+                edges = tuple(Edge(f"e{i}", 1, rng.choice(objects), rng.choice(objects))
+                              for i in range(rng.randint(0, 3)))
+                skeleton = KGraphSkeleton(1, objects, edges, ())
+                bound = (rng.randint(0, 4),)
+            count = _morphism_count(skeleton, bound)
+            want = len(skeleton.objects) + len(ref_sorted_words(skeleton, bound))
+            if want > sgpd.kgraph.MORPHISM_CAP:
+                assert count > sgpd.kgraph.MORPHISM_CAP
+                continue
+            assert count == want
+            try:
+                kg = build_kgraph(skeleton, bound)
+            except InconsistentSquares:
+                continue
+            assert count == len(kg.normal_form)
+            built += 1
+        assert built > 100
+
+    @pytest.mark.parametrize("bound", [1_000, 49_999])
+    def test_one_loop_refused(self, bound):
+        # under the word cap, over the morphism cap: refused from the count
+        assert _word_count(one_loop(), (bound,)) == bound <= sgpd.kgraph.WORD_CAP
+        assert _morphism_count(one_loop(), (bound,)) > sgpd.kgraph.MORPHISM_CAP
+        message = rf"^more than {sgpd.kgraph.MORPHISM_CAP} morphisms within degree \({bound},\)$"
+        with pytest.raises(BoundExceededError, match=message):
+            build_kgraph(one_loop(), (bound,))
+
+    def test_count_stops_past_the_cap(self):
+        cap = sgpd.kgraph.MORPHISM_CAP
+        assert _morphism_count(one_loop(), (cap - 1,)) == cap
+        assert _morphism_count(one_loop(), (10**9,)) == cap + 1
+        many = KGraphSkeleton(1, tuple(f"v{i}" for i in range(cap + 1)), (), ())
+        assert _morphism_count(many, (0,)) == cap + 1
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        skeleton = two_loops()  # 25 morphisms within (4, 4)
+        monkeypatch.setattr(sgpd.kgraph, "MORPHISM_CAP", 25)
+        assert len(build_kgraph(skeleton, (4, 4)).normal_form) == 25
+        monkeypatch.setattr(sgpd.kgraph, "MORPHISM_CAP", 24)
+        with pytest.raises(BoundExceededError, match=r"more than 24 morphisms within degree \(4, 4\)"):
+            build_kgraph(skeleton, (4, 4))
+
+    def test_two_loops_at_8_8_is_under_the_cap(self):
+        assert _morphism_count(two_loops(), (8, 8)) == 81 <= sgpd.kgraph.MORPHISM_CAP
+
+
 class TestBox:
     def test_matches_itertools_product(self):
         rng = random.Random(0)
@@ -449,11 +545,12 @@ class TestSlicePartition:
         # valid builds always pass, so fake an aliased degree map: with
         # e.e wrongly labelled degree 1 the slice {e, e.e} is no longer an
         # antichain and the witness names the intersecting pair
-        import dataclasses
-
         degree = dict(fix_c.degree)
         degree["e.e"] = (1,)
-        broken = dataclasses.replace(fix_c, degree=degree)
+        broken = KGraph(
+            fix_c.skeleton, fix_c.max_degree, fix_c.table, fix_c.normal_form,
+            fix_c.class_of, fix_c.source, fix_c.range, degree, fix_c.factorizations,
+        )
         verdict = slice_partition_check(broken, "v", (1,))
         assert not verdict
         assert verdict.kind == "intersecting-pair"
