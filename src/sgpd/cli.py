@@ -2,9 +2,10 @@
 
 Every verb prints a machine-readable section of stable `key: value` lines
 followed by a blank line and a human-readable summary; `--json` prints the
-machine section alone as JSON.  Identical inputs produce byte-identical
-machine sections.  Exit codes: 0 all checks passed, 1 a violation was
-found (witnesses printed), 2 malformed input or flags.
+machine section alone as JSON, and the one line of a failed verb as a
+JSON object of `verb`, `result` and `message`.  Identical inputs produce
+byte-identical machine sections.  Exit codes: 0 all checks passed, 1 a
+violation was found (witnesses printed), 2 malformed input or flags.
 """
 
 from __future__ import annotations
@@ -390,12 +391,21 @@ def run(argv=None) -> tuple[int, str]:
     try:
         code = args.func(args, report)
     except (formats.FormatError, OSError) as exc:
-        return 2, f"error: {exc}\n"
+        return 2, _failure(args, "error", exc)
     except BoundExceededError as exc:
-        return 1, f"bound exceeded: {exc}\n"
+        return 1, _failure(args, "bound-exceeded", exc)
     except SgpdError as exc:
-        return 1, f"violation: {exc}\n"
+        return 1, _failure(args, "violation", exc)
     return code, report.render(args.json)
+
+
+def _failure(args, result: str, exc: Exception) -> str:
+    """The one line of a failed verb: `error: ...`, `bound exceeded: ...` or
+    `violation: ...`, or with --json an object of the verb, the result and
+    the message."""
+    if args.json:
+        return json.dumps({"verb": args.verb, "result": result, "message": str(exc)}) + "\n"
+    return f"{result.replace('-', ' ')}: {exc}\n"
 
 
 def main(argv=None) -> int:

@@ -44,15 +44,6 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _PostInit:
-    def __repr__(self):
-        return "POST_INIT"
-
-
-# the default of a record field that `__post_init__` sets, not `__init__`
-POST_INIT = _PostInit()
-
-
 def _names(names) -> str:
     """'a', 'a' and 'b', or 'a', 'b', and 'c', as Python's own messages
     list missing arguments."""
@@ -67,41 +58,32 @@ class Record(Frozen):
 
     The fields are the names annotated in the class body, in order, after
     those of the bases.  A class attribute of the same name is the field's
-    default; the default POST_INIT marks a field that `__post_init__` sets.
-    `__init__` takes the other fields, positionally or by keyword, and then
-    calls `__post_init__` when the class has one.  Equality needs the same
-    class and equal fields, the hash is of the fields, and `repr` reads
-    ``Name(field=value, ...)``.  Instances keep a ``__dict__``, so
+    default.  `__init__` takes the fields, positionally or by keyword, and
+    then calls `__post_init__` when the class has one.  Equality needs the
+    same class and equal fields, the hash is of the fields, and `repr`
+    reads ``Name(field=value, ...)``.  Instances keep a ``__dict__``, so
     `functools.cached_property` works on them."""
 
     _fields: tuple[str, ...] = ()  # every field, in order
-    _params: tuple[str, ...] = ()  # the fields __init__ takes, in order
-    _defaults: dict = {}  # param -> default
+    _defaults: dict = {}  # field -> default
     _checked = False  # whether the class has a __post_init__
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = list(cls._fields)
-        late = [f for f in fields if f not in cls._params]
-        for name in cls.__annotations__:
-            if name not in fields:
-                fields.append(name)
-            if cls.__dict__.get(name) is POST_INIT:
-                late.append(name)
-                delattr(cls, name)
-        params = tuple(f for f in fields if f not in late)
-        defaults = {f: getattr(cls, f) for f in params if hasattr(cls, f)}
-        for before, after in zip(params, params[1:]):
+        fields += [name for name in cls.__annotations__ if name not in fields]
+        defaults = {f: getattr(cls, f) for f in fields if hasattr(cls, f)}
+        for before, after in zip(fields, fields[1:]):
             if before in defaults and after not in defaults:
                 raise TypeError(f"non-default argument {after!r} follows default argument")
-        cls._fields, cls._params, cls._defaults = tuple(fields), params, defaults
+        cls._fields, cls._defaults = tuple(fields), defaults
         cls._checked = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs):
-        params = self._params
-        if kwargs or len(args) != len(params):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        for name, value in zip(params, args):
+        for name, value in zip(fields, args):
             _set(self, name, value)
         if self._checked:
             self.__post_init__()
@@ -110,7 +92,7 @@ class Record(Frozen):
     def _bind(cls, args, kwargs) -> list:
         """The field values of a call, in order, or the TypeError Python
         raises for a function with these parameters and defaults."""
-        params, defaults = cls._params, cls._defaults
+        params, defaults = cls._fields, cls._defaults
         where = f"{cls.__qualname__}.__init__()"
         values = dict(zip(params, args))
         for key in kwargs:
@@ -247,25 +229,23 @@ class SemigroupoidTable(Record):
     eagerly validated construction; the raw constructor only checks
     well-formedness so that validators can be pointed at broken tables.
 
-    Tables are immutable after construction: product rows, followers and
-    multiples are computed once per table, on first use, and every query
-    reads them.
+    Tables are immutable after construction: the composable pairs, product
+    rows, followers and multiples are computed once per table, on first
+    use, and every query reads them.
     """
 
     elements: frozenset[str]
     product: Mapping[tuple[str, str], str]
     boundary: frozenset[str] = frozenset()
     artifact_pairs: frozenset[tuple[str, str]] = frozenset()
-    composable: frozenset[tuple[str, str]] = POST_INIT
 
     def __post_init__(self):
         # each condition is decided on whole sets; the walk that names a
         # witness runs only when one fails (products in table order,
         # artifact pairs in sorted order, so the message is deterministic)
         elements, product, artifacts = self.elements, self.product, self.artifact_pairs
-        composable = frozenset(product)
         if not (
-            elements.issuperset(chain.from_iterable(composable))
+            elements.issuperset(chain.from_iterable(product))
             and elements.issuperset(product.values())
         ):
             for (f, g), h in product.items():
@@ -277,14 +257,13 @@ class SemigroupoidTable(Record):
             raise MalformedTable("boundary elements outside carrier")
         if not (
             elements.issuperset(chain.from_iterable(artifacts))
-            and artifacts.isdisjoint(composable)
+            and product.keys().isdisjoint(artifacts)
         ):
             for f, g in sorted(artifacts):
                 if f not in elements or g not in elements:
                     raise MalformedTable(f"artifact pair ({f}, {g}) not in carrier")
-                if (f, g) in composable:
+                if (f, g) in product:
                     raise MalformedTable(f"pair ({f}, {g}) both composable and artifact")
-        _set(self, "composable", composable)
 
     @classmethod
     def build(
@@ -316,6 +295,11 @@ class SemigroupoidTable(Record):
         for f, x in pairs:
             out[f].add(x)
         return {f: frozenset(xs) for f, xs in out.items()}
+
+    @cached_property
+    def composable(self) -> frozenset[tuple[str, str]]:
+        """The composable pairs: the keys of ``product``."""
+        return frozenset(self.product)
 
     @cached_property
     def followers(self) -> dict[str, frozenset[str]]:

@@ -53,10 +53,9 @@ class BoundExceededError(SgpdError):
     """Work past a bound: a minimal covering larger than the requested
     size exists, the covering search passed NODE_CAP, a Markov truncation
     would have more than `markov.WORD_CAP` words, a k-graph truncation
-    more than `kgraph.WORD_CAP` edge words or `kgraph.MORPHISM_CAP`
-    morphisms, or a Cuntz-Krieger presentation more than
-    `relations.EL13_CAP` el13 relations.  These four caps are checked on a
-    count, before anything is built."""
+    more than `kgraph.MORPHISM_CAP` morphisms, or a Cuntz-Krieger
+    presentation more than `relations.EL13_CAP` el13 relations.  These
+    three caps are checked on a count, before anything is built."""
 
     def __init__(self, message, oversized=None):
         super().__init__(message)

@@ -4,16 +4,19 @@ A rank-k structure is presented by a skeleton: vertices, coloured edges,
 and factorisation squares that identify each two-colour path with its
 colour-swapped mate.  Morphisms are square-move classes of composable edge
 paths with degree (the per-colour letter count) capped by a vector bound.
-Each class must contain exactly one colour-sorted word; that normal form
-names the morphism.  Degree additivity and unique factorisation are then
-validated exhaustively within the truncation rather than assumed.
+Each class holds exactly one colour-sorted word, its normal form, when
+every tri-coloured path of length 3 closes its cube: both ways round by
+square moves reach the same word (Hazlewood, Raeburn, Sims and Webster,
+Proc. Edinb. Math. Soc. 2013, Thm 4.4).  So the truncation is built from
+the normal forms alone, once the cubes within the bound are checked.
+Degree additivity and unique factorisation are then validated
+exhaustively within the truncation rather than assumed.
 
 Composable pairs whose degrees sum past the bound become artifact pairs of
 the underlying table, and morphisms sitting on the bound in some colour
 are flagged boundary, mirroring the Markov truncation conventions.  The
-edge words and the morphisms are counted before anything is built, and a
-truncation with more than WORD_CAP edge words or more than MORPHISM_CAP
-morphisms is refused with ``BoundExceededError``.
+morphisms are counted before anything is built, and a truncation with
+more than MORPHISM_CAP morphisms is refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
@@ -21,19 +24,14 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .core import Record, SemigroupoidTable, SgpdError, UnionFind, Witness
+from .core import Record, SemigroupoidTable, SgpdError, Witness
 from .covers import BoundExceededError, CoverSpec, IntersectingPair, Uncovered, is_partition
-
-# nonempty edge words a truncation may have; build_kgraph counts them first
-# and refuses more (the two-loop 2-graph has 48,618 words at degree (8,8),
-# built in about 0.6 s on a 2-CPU host, and 705,430 at (10,10))
-WORD_CAP = 50_000
 
 # morphisms (objects included) a truncation may have; build_kgraph counts
 # them first and refuses more.  The table grows as their square and its
 # associativity check as their cube: the one-loop 1-graph has 300 at degree
 # 299, built and checked in about 3 s on a 2-CPU host, and 401 at degree
-# 400, about 8 s.
+# 400, about 8 s; the two-loop 2-graph has 289 at (16, 16), about 1 s.
 MORPHISM_CAP = 300
 
 
@@ -156,45 +154,29 @@ def _split_walk(
             yield f, n, splits.get((f, n), [])
 
 
-def _count_words(
-    skeleton: KGraphSkeleton, max_degree: tuple[int, ...], cap: int, in_order: bool
-) -> int:
-    """The number of nonempty composable edge words of degree within
-    `max_degree`, or with `in_order` of the colour-sorted ones, counted
-    length by length over (source, degree, least next colour) states.  The
-    count stops once no word extends, and once it passes `cap`, returning
-    some number above the cap.  Each length adds at least one word, so the
-    count takes at most cap + 1 steps however large the bound is."""
+def _morphism_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
+    """The number of morphisms within `max_degree`, or some number above
+    MORPHISM_CAP once past it: the objects plus the colour-sorted edge
+    words, since each morphism has exactly one colour-sorted word, its
+    normal form.  The words are counted length by length over (source,
+    degree, last colour) states.  The count stops once no word extends,
+    and once it passes the cap; each length adds at least one word, so it
+    takes at most MORPHISM_CAP + 1 steps however large the bound is."""
     into = skeleton.edges_into
     ends = {(v, (0,) * skeleton.k, 1): 1 for v in skeleton.objects}  # empty words
-    total = 0
-    while ends and total <= cap:
+    total = len(skeleton.objects)
+    while ends and total <= MORPHISM_CAP:
         longer: dict[tuple[str, tuple[int, ...], int], int] = {}
         for (s, deg, least), count in ends.items():
             for e in into[s]:
                 c = e.color - 1
                 if deg[c] < max_degree[c] and e.color >= least:
                     next_deg = deg[:c] + (deg[c] + 1,) + deg[c + 1 :]
-                    state = (e.src, next_deg, e.color if in_order else 1)
+                    state = (e.src, next_deg, e.color)
                     longer[state] = longer.get(state, 0) + count
         ends = longer
         total += sum(ends.values())
     return total
-
-
-def _word_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
-    """The number of nonempty edge words within `max_degree`, or some
-    number above WORD_CAP once past it."""
-    return _count_words(skeleton, max_degree, WORD_CAP, False)
-
-
-def _morphism_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
-    """The number of morphisms within `max_degree`, or some number above
-    MORPHISM_CAP once past it: the objects plus the colour-sorted edge
-    words, since each morphism of a consistent skeleton has exactly one
-    colour-sorted word, its normal form."""
-    objects = len(skeleton.objects)
-    return objects + _count_words(skeleton, max_degree, MORPHISM_CAP - objects, True)
 
 
 def _validate_squares(skeleton: KGraphSkeleton) -> dict[tuple[str, str], tuple[str, str]]:
@@ -228,43 +210,48 @@ def _validate_squares(skeleton: KGraphSkeleton) -> dict[tuple[str, str], tuple[s
     return swap
 
 
-def _square_classes(
-    words: Sequence[Path], swap: Mapping[tuple[str, str], tuple[str, str]]
-) -> list[list[int]]:
-    """The classes of the sorted `words` under square moves, each the
-    ascending positions of its words, in the order of their least words.
-    A union-find runs on the positions, so each word is hashed once, and
-    the swap map is an involution, so each move is made once, from the
-    word holding the lesser of its two paths.  Those lesser paths are
-    looked up by their first edge, then their second: a same-colour pair,
-    which no square has, or a greater path is passed without slicing the
-    word."""
-    lesser: dict[str, dict[str, tuple[str, str]]] = {}
-    for path, mate in swap.items():
-        if path < mate:
-            lesser.setdefault(path[0], {})[path[1]] = mate
-    ids = list(range(len(words)))
-    index = dict(zip(words, ids))
-    uf = UnionFind(ids)
-    for i, word in zip(ids, words):
-        for j in range(len(word) - 1):
-            mates = lesser.get(word[j])
-            if mates is not None:
-                mate = mates.get(word[j + 1])
-                if mate is not None:
-                    uf.union(i, index[word[:j] + mate + word[j + 2 :]])
-    classes: dict[int, list[int]] = {}
-    for i in ids:
-        classes.setdefault(uf.find(i), []).append(i)
-    return list(classes.values())
+def _braid(path: Path, swap: Mapping[tuple[str, str], tuple[str, str]], moves) -> Path:
+    """`path` after the square move at each position of `moves` in turn."""
+    word = list(path)
+    for i in moves:
+        word[i : i + 2] = swap[word[i], word[i + 1]]
+    return tuple(word)
+
+
+def _check_cubes(
+    skeleton: KGraphSkeleton,
+    max_degree: tuple[int, ...],
+    swap: Mapping[tuple[str, str], tuple[str, str]],
+) -> None:
+    """Raise InconsistentSquares unless every tri-coloured path within
+    `max_degree` closes its cube.  Each such path moves by squares to one
+    whose colours fall, x.y.z with colour(x) > colour(y) > colour(z), and
+    its two braid routes, moves (0, 1, 0) and (1, 0, 1), must reach the
+    same colour-sorted word.  The falling paths and their falling first
+    two edges number at most the morphisms, as the first route maps them
+    one to one onto colour-sorted words."""
+    into = skeleton.edges_into
+    for x in skeleton.edges:
+        if not max_degree[x.color - 1]:
+            continue
+        for y in into[x.src]:
+            if y.color < x.color and max_degree[y.color - 1]:
+                for z in into[y.src]:
+                    if z.color < y.color and max_degree[z.color - 1]:
+                        path = (x.name, y.name, z.name)
+                        one, other = (_braid(path, swap, m) for m in ((0, 1, 0), (1, 0, 1)))
+                        if one != other:
+                            raise InconsistentSquares(
+                                f"cube of {path} does not close: moves (0, 1, 0) give "
+                                f"{one} and moves (1, 0, 1) give {other}"
+                            )
 
 
 class KGraph(Record):
     skeleton: KGraphSkeleton
     max_degree: tuple[int, ...]
     table: SemigroupoidTable
-    normal_form: Mapping[str, Path]  # token -> color-sorted word ((),) for objects
-    class_of: Mapping[Path, str]
+    normal_form: Mapping[str, Path]  # token -> color-sorted word, () for objects
     source: Mapping[str, str]
     range: Mapping[str, str]
     degree: Mapping[str, tuple[int, ...]]
@@ -302,100 +289,78 @@ def build_kgraph(
 ) -> KGraph:
     """Materialise all morphisms of degree <= max_degree and validate the
     defining identities (degree additivity, unique factorisation).  The
-    edge words and the morphisms are counted first: past WORD_CAP or
-    MORPHISM_CAP this raises BoundExceededError before building any, and
-    otherwise the build is cross-checked against both counts.
+    morphisms are counted first: past MORPHISM_CAP this raises
+    BoundExceededError before building any, and otherwise the build is
+    cross-checked against the count.  Then every tri-coloured path within
+    the bound must close its cube, so each square-move class holds
+    exactly one colour-sorted word.
 
-    The words are numbered in sorted order and closed under square moves
-    by a union-find on those numbers.  Each class must hold exactly one
-    colour-sorted word, its normal form, and one pair of endpoints.  The
-    product of f and g is the class of their concatenated normal forms;
-    a concatenation past the degree bound is no word, so (f, g) is then
-    an artifact pair."""
+    The morphisms are those words, walked from their ranges, each named
+    by its edge names joined with dots.  Products are built by insertion:
+    for g = g'e, fg is (fg')e, and m times an edge e moves e left through
+    the squares while the colour before it is greater, one memoised step
+    per (m, e).  A pair whose degrees sum past the bound is an artifact
+    pair."""
     max_degree = tuple(int(x) for x in max_degree)
     if len(max_degree) != skeleton.k or any(x < 0 for x in max_degree):
         raise ValueError("max_degree must be a nonnegative vector of length k")
     swap = _validate_squares(skeleton)
-    into = skeleton.edges_into
-    expected = _word_count(skeleton, max_degree)
-    if expected > WORD_CAP:
-        raise BoundExceededError(
-            f"more than {WORD_CAP} edge words within degree {max_degree}"
-        )
     morphisms = _morphism_count(skeleton, max_degree)
     if morphisms > MORPHISM_CAP:
         raise BoundExceededError(
             f"more than {MORPHISM_CAP} morphisms within degree {max_degree}"
         )
+    _check_cubes(skeleton, max_degree, swap)
 
-    color = {e.name: e.color for e in skeleton.edges}
+    into = skeleton.edges_into
     zero = (0,) * skeleton.k
-
-    # all nonempty composable edge words of bounded degree, each with its
-    # (range, source, degree) and whether its colours are sorted; identity
-    # morphisms are handled separately (an empty word cannot carry its
-    # object).  Each word is reached once, from its prefix, and is
-    # colour-sorted when its prefix is and its last colour is no less.
-    words: list[tuple[Path, tuple[str, str, tuple[int, ...], bool]]] = []
-    frontier = [((), (v, v, zero, True)) for v in skeleton.objects]
-    while frontier:
-        new_frontier = []
-        for word, (r, s, deg, in_order) in frontier:
-            last = color[word[-1]] if word else 1
-            for e in into[s]:
-                c = e.color - 1
-                if deg[c] == max_degree[c]:
-                    continue
-                new_deg = deg[:c] + (deg[c] + 1,) + deg[c + 1 :]
-                new_frontier.append(
-                    (word + (e.name,), (r, e.src, new_deg, in_order and last <= e.color))
-                )
-        words += new_frontier
-        frontier = new_frontier
-    normal_forms = len(skeleton.objects) + sum(flags[3] for _, flags in words)
-    if len(words) != expected or normal_forms != morphisms:
-        raise SgpdError(
-            f"word census mismatch: enumerated {len(words)} words and {normal_forms} "
-            f"morphisms, expected {expected} and {morphisms}"
-        )
-    words.sort()
-
-    classes = _square_classes([w for w, _ in words], swap)
-
     normal_form: dict[str, Path] = {}
-    class_of: dict[Path, str] = {}
     source: dict[str, str] = {}
     range_: dict[str, str] = {}
     degree: dict[str, tuple[int, ...]] = {}
-    for v in skeleton.objects:
-        normal_form[v] = ()
-        source[v] = v
-        range_[v] = v
-        degree[v] = zero
-    for members in classes:
-        sorted_members = [words[i] for i in members if words[i][1][3]]
-        if len(sorted_members) != 1:
-            raise InconsistentSquares(
-                f"class of {words[members[0]][0]} has {len(sorted_members)} color-sorted "
-                f"members: {[w for w, _ in sorted_members]}"
-            )
-        nf, (r, s, deg, _) = sorted_members[0]
-        endpoints = {words[i][1][:2] for i in members}
-        if len(endpoints) != 1:
-            raise InconsistentSquares(
-                f"class of {nf} mixes endpoints {sorted(endpoints)}"
-            )
-        token = ".".join(nf)
-        normal_form[token] = nf
-        for i in members:
-            class_of[words[i][0]] = token
-        range_[token], source[token], degree[token] = r, s, deg
-
-    if len(normal_form) != len(classes) + len(skeleton.objects):
+    # every edge word -> (the morphism it extends by one edge, that edge)
+    parent: dict[str, tuple[str, str]] = {}
+    # (m, e) -> m times the edge e, None past the bound: the walk enters
+    # the pairs whose colours are in order, `times` the rest as it meets them
+    step: dict[tuple[str, str], str | None] = {}
+    # (token, word, range, source, degree, last colour) of each word of
+    # the current length; the objects are the empty words
+    frontier = [(v, (), v, v, zero, 1) for v in skeleton.objects]
+    walked = 0
+    while frontier:
+        longer = []
+        for m, word, r, s, deg, least in frontier:
+            walked += 1
+            normal_form[m], range_[m], source[m], degree[m] = word, r, s, deg
+            for e in into[s]:
+                c = e.color - 1
+                if e.color < least:
+                    continue
+                if deg[c] == max_degree[c]:
+                    step[m, e.name] = None
+                    continue
+                nf = word + (e.name,)
+                t = step[m, e.name] = ".".join(nf)
+                parent[t] = (m, e.name)
+                next_deg = deg[:c] + (deg[c] + 1,) + deg[c + 1 :]
+                longer.append((t, nf, r, e.src, next_deg, e.color))
+        frontier = longer
+    if walked != morphisms:
+        raise SgpdError(f"morphism census mismatch: walked {walked}, counted {morphisms}")
+    if len(normal_form) != walked:
         raise InconsistentSquares("morphism tokens collide")
 
-    # composition table: a concatenation within the degree bound is an
-    # edge word, so a product missing from class_of is an artifact pair
+    def times(m: str, e: str) -> str | None:
+        # m = m'x with x after e in colour: me = (m'e')x' for the square x e = e' x'
+        try:
+            return step[m, e]
+        except KeyError:
+            prefix, x = parent[m]
+            e2, x2 = swap[x, e]
+            head = times(prefix, e2)
+            t = step[m, e] = None if head is None else step[head, x2]
+            return t
+
     product: dict[tuple[str, str], str] = {}
     artifacts: set[tuple[str, str]] = set()
     tokens = sorted(normal_form)
@@ -403,10 +368,14 @@ def build_kgraph(
     for g in tokens:
         ranged[range_[g]].append(g)
     for f in tokens:
-        nf = normal_form[f]
         for g in ranged[source[f]]:
-            combined = nf + normal_form[g]
-            fg = class_of.get(combined) if combined else f
+            if g in parent:
+                # fg = (fg')e for g = g'e; g' is an object or sorts before g
+                prefix, e = parent[g]
+                head = product.get((f, prefix)) if prefix in parent else f
+                fg = None if head is None else times(head, e)
+            else:
+                fg = f
             if fg is None:
                 artifacts.add((f, g))
             else:
@@ -429,15 +398,7 @@ def build_kgraph(
         factorizations[(f, n)] = pairs[0]
 
     return KGraph(
-        skeleton,
-        max_degree,
-        table,
-        normal_form,
-        class_of,
-        source,
-        range_,
-        degree,
-        factorizations,
+        skeleton, max_degree, table, normal_form, source, range_, degree, factorizations
     )
 
 

@@ -128,22 +128,29 @@ class TestExitCodes:
         "verb", [["kgraph", "check"], ["relations", "--style", "kp", "--kgr"]]
     )
     def test_maxdeg_over_word_cap(self, tmp_path, kgr, maxdeg, degree, verb):
-        # refused from the count of edge words, before any word is built
+        # bounds past the former cap of 50,000 edge words: the build walks
+        # the normal forms alone, so the two-loop at 10,10 (705,430 edge
+        # words, 121 morphisms) passes, and the bounds of 10^9 are refused
+        # from the morphism count, before anything is built
         path = tmp_path / "big.kgr"
         path.write_text(kgr)
         code, text = run([*verb, str(path), "--maxdeg", maxdeg])
-        assert (code, text) == (
-            1,
-            f"bound exceeded: more than {sgpd.kgraph.WORD_CAP} edge words "
-            f"within degree {degree}\n",
-        )
+        if maxdeg == "10,10":
+            key = "morphisms" if verb[0] == "kgraph" else "generators"
+            assert code == 0 and f"\n{key}: 121\n" in text
+        else:
+            assert (code, text) == (
+                1,
+                f"bound exceeded: more than {sgpd.kgraph.MORPHISM_CAP} morphisms "
+                f"within degree {degree}\n",
+            )
 
     @pytest.mark.parametrize("maxdeg", ["1000", "49999"])
     @pytest.mark.parametrize(
         "verb", [["kgraph", "check"], ["relations", "--style", "kp", "--kgr"]]
     )
     def test_maxdeg_over_morphism_cap(self, tmp_path, maxdeg, verb):
-        # the one-loop 1-graph: under the edge-word cap, over the morphism cap
+        # the one-loop 1-graph, one morphism per degree: over the cap
         path = tmp_path / "loop.kgr"
         path.write_text("k: 1\nobjects: v\nedge: e 1 v v\n")
         code, text = run([*verb, str(path), "--maxdeg", maxdeg])
@@ -205,6 +212,48 @@ class TestExitCodes:
         code, text = run(["markov", "--matrix", str(path), "--maxlen", "1", "--graphable"])
         assert code == 0
         assert "graphable: yes" in text
+
+
+BROKEN_CUBE_KGR = (
+    "k: 3\nobjects: v\n"
+    "edge: a 1 v v\nedge: a2 1 v v\nedge: b 2 v v\nedge: b2 2 v v\nedge: c 3 v v\n"
+    "square: a b = b a\nsquare: a b2 = b a2\nsquare: a2 b = b2 a\nsquare: a2 b2 = b2 a2\n"
+    "square: a c = c a\nsquare: a2 c = c a2\nsquare: b c = c b2\nsquare: b2 c = c b\n"
+)
+
+
+class TestFailures:
+    """A failed verb prints one line, or with --json one JSON object of the
+    verb, the result and the message."""
+
+    @pytest.mark.parametrize(
+        "kgr, maxdeg, code, result, message",
+        [
+            ("k: x\nobjects: v\n", "1", 2, "error", "line 1: bad rank 'x'"),
+            ("k: 1\nobjects: v\nedge: e 1 v v\n", "49999", 1, "bound-exceeded",
+             "more than 300 morphisms within degree (49999,)"),
+            (BROKEN_CUBE_KGR, "1,1,1", 1, "violation",
+             "cube of ('c', 'b', 'a') does not close: moves (0, 1, 0) give "
+             "('a2', 'b', 'c') and moves (1, 0, 1) give ('a', 'b2', 'c')"),
+        ],
+        ids=["error", "bound-exceeded", "violation"],
+    )
+    def test_text_and_json(self, tmp_path, kgr, maxdeg, code, result, message):
+        path = tmp_path / "g.kgr"
+        path.write_text(kgr)
+        argv = ["kgraph", "check", str(path), "--maxdeg", maxdeg]
+        label = {"error": "error", "bound-exceeded": "bound exceeded", "violation": "violation"}
+        assert run(argv) == (code, f"{label[result]}: {message}\n")
+        got_code, text = run(["--json", *argv])
+        assert got_code == code and text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text) == {"verb": "kgraph", "result": result, "message": message}
+
+    def test_json_error_names_the_verb(self):
+        code, text = run(["--json", "validate", "/nonexistent/x.sgpd"])
+        assert code == 2
+        payload = json.loads(text)
+        assert (payload["verb"], payload["result"]) == ("validate", "error")
+        assert payload["message"].startswith("cannot read /nonexistent/x.sgpd")
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
 import random
+from functools import reduce
 from itertools import product as iproduct
-from math import comb
 
 import pytest
 
@@ -15,9 +15,9 @@ from sgpd.kgraph import (
     KGraph,
     KGraphSkeleton,
     _box,
+    _check_cubes,
     _morphism_count,
     _splits,
-    _word_count,
     _validate_squares,
     build_kgraph,
     common_extensions,
@@ -125,6 +125,14 @@ class TestBuild:
         with pytest.raises(InconsistentSquares):
             build_kgraph(skeleton, (1, 1))
 
+    def test_token_collision_rejected(self):
+        # the word a.b and the edge named "a.b" would share a token
+        edges = tuple(Edge(name, 1, "v", "v") for name in ("a", "b", "a.b"))
+        skeleton = KGraphSkeleton(1, ("v",), edges, ())
+        assert len(build_kgraph(skeleton, (1,)).normal_form) == 4
+        with pytest.raises(InconsistentSquares, match="^morphism tokens collide$"):
+            build_kgraph(skeleton, (2,))
+
 
 def ref_build_kgraph(skeleton, max_degree):
     """build_kgraph's fields by the direct method: every word's degree is
@@ -202,14 +210,24 @@ def ref_build_kgraph(skeleton, max_degree):
         for n in _box(degree[f]):
             assert len(splits.get((f, n), [])) == 1
             factorizations[(f, n)] = splits[(f, n)][0]
-    return (normal_form, class_of, source, range_, degree, product, artifacts, boundary,
-            factorizations)
+    fields = (normal_form, source, range_, degree, product, artifacts, boundary, factorizations)
+    return fields, class_of
 
 
 def kgraph_fields(kg):
-    return (dict(kg.normal_form), dict(kg.class_of), dict(kg.source), dict(kg.range),
-            dict(kg.degree), dict(kg.table.product), set(kg.table.artifact_pairs),
-            set(kg.table.boundary), dict(kg.factorizations))
+    return (dict(kg.normal_form), dict(kg.source), dict(kg.range), dict(kg.degree),
+            dict(kg.table.product), set(kg.table.artifact_pairs), set(kg.table.boundary),
+            dict(kg.factorizations))
+
+
+def assert_direct_method(kg):
+    """kg has ref_build_kgraph's fields, and folding each of its edge words
+    through the product gives the morphism whose class holds the word."""
+    fields, class_of = ref_build_kgraph(kg.skeleton, kg.max_degree)
+    assert kgraph_fields(kg) == fields
+    product = kg.table.product
+    for word, token in class_of.items():
+        assert reduce(lambda f, e: product[f, e], word) == token
 
 
 def two_loops():
@@ -282,17 +300,54 @@ def random_rank_two(rng):
     return KGraphSkeleton(2, objects, tuple(edges), tuple(squares))
 
 
+def random_rank_three(rng):
+    """1-2 vertices and 1-2 colour-1 edges with random endpoints, which
+    colours 2 and 3 copy, or one loop of each colour at each vertex, or
+    both, so the three adjacency matrices are equal and commute.  For each
+    colour pair and pair of endpoints a random bijection pairs the
+    rising paths with the falling ones; the squares are complete, and
+    whether the cubes close is left to chance."""
+    objects = ("u", "v")[: rng.randint(1, 2)]
+    ends = [(rng.choice(objects), rng.choice(objects)) for _ in range(rng.randint(1, 2))]
+    shape = rng.randrange(3)
+    edges = []
+    for color, letter in zip((1, 2, 3), "abc"):
+        edges += [Edge(f"{letter}{i}", color, s, d) for i, (s, d) in enumerate(ends) if shape != 1]
+        edges += [Edge(f"{letter}{v}", color, v, v) for v in objects if shape != 0]
+    squares = []
+    for low, high in ((1, 2), (1, 3), (2, 3)):
+        for r in objects:
+            for s in objects:
+                paths = {
+                    colors: [
+                        (x.name, y.name) for x in edges for y in edges
+                        if (x.color, y.color) == colors and x.src == y.dst
+                        and (x.dst, y.src) == (r, s)
+                    ]
+                    for colors in ((low, high), (high, low))
+                }
+                rng.shuffle(paths[high, low])
+                squares += zip(paths[low, high], paths[high, low])
+    return KGraphSkeleton(3, objects, tuple(edges), tuple(squares))
+
+
 def matches_direct_method(skeleton, bound):
-    """build_kgraph gives ref_build_kgraph's fields, or raises
-    InconsistentSquares with its message; True when the build succeeds."""
+    """build_kgraph agrees with ref_build_kgraph (assert_direct_method), or
+    both raise InconsistentSquares: with the same message when the squares
+    themselves are at fault, and on a cube that does not close where the
+    direct method finds a class with two colour-sorted words.  True when
+    the build succeeds."""
     try:
-        want = ref_build_kgraph(skeleton, bound)
+        ref_build_kgraph(skeleton, bound)
     except InconsistentSquares as exc:
         with pytest.raises(InconsistentSquares) as got:
             build_kgraph(skeleton, bound)
-        assert str(got.value) == str(exc)
+        if str(exc).startswith("class of "):
+            assert str(got.value).startswith("cube of ")
+        else:
+            assert str(got.value) == str(exc)
         return False
-    assert kgraph_fields(build_kgraph(skeleton, bound)) == want
+    assert_direct_method(build_kgraph(skeleton, bound))
     return True
 
 
@@ -364,8 +419,7 @@ class TestMorphismCap:
 
     @pytest.mark.parametrize("bound", [1_000, 49_999])
     def test_one_loop_refused(self, bound):
-        # under the word cap, over the morphism cap: refused from the count
-        assert _word_count(one_loop(), (bound,)) == bound <= sgpd.kgraph.WORD_CAP
+        # refused from the count, before anything is built
         assert _morphism_count(one_loop(), (bound,)) > sgpd.kgraph.MORPHISM_CAP
         message = rf"^more than {sgpd.kgraph.MORPHISM_CAP} morphisms within degree \({bound},\)$"
         with pytest.raises(BoundExceededError, match=message):
@@ -389,6 +443,24 @@ class TestMorphismCap:
     def test_two_loops_at_8_8_is_under_the_cap(self):
         assert _morphism_count(two_loops(), (8, 8)) == 81 <= sgpd.kgraph.MORPHISM_CAP
 
+    def test_refused_before_the_cubes_are_checked(self):
+        # the broken cube with 300 more colour-1 loops, each commuting with
+        # b, b2 and c: past the cap at (1, 1, 1), so the count refuses it
+        # before the cube check, which would fail on it
+        cube = broken_cube()
+        extra = [f"x{i}" for i in range(300)]
+        skeleton = KGraphSkeleton(
+            3,
+            cube.objects,
+            cube.edges + tuple(Edge(x, 1, "v", "v") for x in extra),
+            cube.squares + tuple(((x, y), (y, x)) for x in extra for y in ("b", "b2", "c")),
+        )
+        assert _morphism_count(skeleton, (1, 1, 1)) > sgpd.kgraph.MORPHISM_CAP
+        with pytest.raises(InconsistentSquares, match="^cube of "):
+            _check_cubes(skeleton, (1, 1, 1), _validate_squares(skeleton))
+        with pytest.raises(BoundExceededError, match=r"morphisms within degree \(1, 1, 1\)$"):
+            build_kgraph(skeleton, (1, 1, 1))
+
 
 class TestBox:
     def test_matches_itertools_product(self):
@@ -408,13 +480,11 @@ class TestBox:
 class TestBuildMatchesDirectMethod:
     @pytest.mark.parametrize("bound", list(iproduct(range(5), range(5))))
     def test_two_loops(self, bound):
-        skeleton = two_loops()
-        assert kgraph_fields(build_kgraph(skeleton, bound)) == ref_build_kgraph(skeleton, bound)
+        assert_direct_method(build_kgraph(two_loops(), bound))
 
     @pytest.mark.parametrize("bound", [(0, 0), (1, 2), (2, 2)])
     def test_two_reds(self, bound):
-        skeleton = two_red_skeleton()
-        assert kgraph_fields(build_kgraph(skeleton, bound)) == ref_build_kgraph(skeleton, bound)
+        assert_direct_method(build_kgraph(two_red_skeleton(), bound))
 
     @pytest.mark.parametrize(
         "edges",
@@ -428,13 +498,11 @@ class TestBuildMatchesDirectMethod:
     def test_rank_one(self, edges, bound):
         objects = tuple(sorted({x for e in edges for x in (e.src, e.dst)}))
         skeleton = KGraphSkeleton(1, objects, edges, ())
-        assert kgraph_fields(build_kgraph(skeleton, (bound,))) == ref_build_kgraph(
-            skeleton, (bound,)
-        )
+        assert_direct_method(build_kgraph(skeleton, (bound,)))
 
     def test_fixtures(self, fix_c, fix_d):
         for kg in (fix_c, fix_d):
-            assert kgraph_fields(kg) == ref_build_kgraph(kg.skeleton, kg.max_degree)
+            assert_direct_method(kg)
 
     @pytest.mark.parametrize("bound", [(0, 0, 0), (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)])
     def test_rank_three(self, bound):
@@ -446,9 +514,12 @@ class TestBuildMatchesDirectMethod:
         assert builds == (0 in bound)
 
     def test_broken_cube_message(self):
-        message = r"^class of \('a', 'b', 'c'\) has 2 color-sorted members: "
-        with pytest.raises(InconsistentSquares, match=message):
+        with pytest.raises(InconsistentSquares) as got:
             build_kgraph(broken_cube(), (1, 1, 1))
+        assert str(got.value) == (
+            "cube of ('c', 'b', 'a') does not close: moves (0, 1, 0) give "
+            "('a2', 'b', 'c') and moves (1, 0, 1) give ('a', 'b2', 'c')"
+        )
 
     def test_random_rank_two_bijections(self):
         outcomes = set()
@@ -456,6 +527,16 @@ class TestBuildMatchesDirectMethod:
             rng = random.Random(seed)
             skeleton = random_rank_two(rng)
             bound = (rng.randint(0, 2), rng.randint(0, 2))
+            outcomes.add((len(skeleton.objects), matches_direct_method(skeleton, bound)))
+        assert outcomes == {(1, True), (2, True), (1, False), (2, False)}
+
+    def test_random_rank_three_bijections(self):
+        outcomes = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            skeleton = random_rank_three(rng)
+            # colour 2 at 0 in about half the draws, which leaves no cube
+            bound = (rng.randint(1, 2), rng.randint(0, 1), 1)
             outcomes.add((len(skeleton.objects), matches_direct_method(skeleton, bound)))
         assert outcomes == {(1, True), (2, True), (1, False), (2, False)}
 
@@ -549,7 +630,7 @@ class TestSlicePartition:
         degree["e.e"] = (1,)
         broken = KGraph(
             fix_c.skeleton, fix_c.max_degree, fix_c.table, fix_c.normal_form,
-            fix_c.class_of, fix_c.source, fix_c.range, degree, fix_c.factorizations,
+            fix_c.source, fix_c.range, degree, fix_c.factorizations,
         )
         verdict = slice_partition_check(broken, "v", (1,))
         assert not verdict
@@ -606,46 +687,52 @@ class TestCategoryShape:
 
 
 class TestWordCap:
+    """The cap on words is MORPHISM_CAP: the build walks the colour-sorted
+    edge words alone, one per morphism, and counts them with the objects
+    first.  Edge words that are not colour-sorted are neither built nor
+    counted, so no bound limits them."""
+
     @pytest.mark.parametrize("bound", list(iproduct(range(5), range(5))))
     def test_count_equals_enumeration(self, bound):
-        # class_of maps every edge word of the truncation to its morphism
-        for skeleton in (two_loops(), two_vertex_skeleton()):
-            kg = build_kgraph(skeleton, bound)
-            assert _word_count(skeleton, bound) == len(kg.class_of)
-        if bound in [(0, 0), (1, 2), (2, 2)]:
-            kg = build_kgraph(two_red_skeleton(), bound)
-            assert _word_count(two_red_skeleton(), bound) == len(kg.class_of)
+        # the objects plus the colour-sorted words, enumerated one by one
+        for skeleton in (two_loops(), two_vertex_skeleton(), two_red_skeleton()):
+            want = len(skeleton.objects) + len(ref_sorted_words(skeleton, bound))
+            assert _morphism_count(skeleton, bound) == want
 
     def test_two_loops_count_in_closed_form(self):
-        # words of degree (i, j) are the C(i + j, i) interleavings
-        for n in range(9):
-            assert _word_count(two_loops(), (n, n)) == comb(2 * n + 2, n + 1) - 2
+        # one morphism b^i r^j per degree (i, j) up to (n, n)
+        for n in range(17):
+            assert _morphism_count(two_loops(), (n, n)) == (n + 1) ** 2
 
     def test_count_passes_cap_without_enumerating(self):
-        loop = KGraphSkeleton(1, ("v",), (Edge("e", 1, "v", "v"),), ())
         huge = 10**9
-        for skeleton, bound in [(two_loops(), (10, 10)), (two_loops(), (huge, huge)),
-                                (loop, (huge,))]:
-            assert _word_count(skeleton, bound) > sgpd.kgraph.WORD_CAP
-            with pytest.raises(BoundExceededError, match="edge words within degree"):
+        for skeleton, bound in [(two_loops(), (huge, huge)), (one_loop(), (huge,))]:
+            assert _morphism_count(skeleton, bound) > sgpd.kgraph.MORPHISM_CAP
+            with pytest.raises(BoundExceededError, match="morphisms within degree"):
                 build_kgraph(skeleton, bound)
+        # 705,430 edge words but 121 morphisms: built
+        assert len(build_kgraph(two_loops(), (10, 10)).normal_form) == 121
 
     def test_count_stops_when_no_word_extends(self):
         edges = (Edge("e", 1, "u", "v"), Edge("f", 1, "v", "w"))
         path = KGraphSkeleton(1, ("u", "v", "w"), edges, ())
-        assert _word_count(path, (10**9,)) == 3
-        assert len(build_kgraph(path, (10**9,)).class_of) == 3
+        assert _morphism_count(path, (10**9,)) == 6
+        assert len(build_kgraph(path, (10**9,)).normal_form) == 6
 
     def test_cap_is_inclusive(self, monkeypatch):
-        skeleton = two_loops()  # 250 words within (4, 4)
-        monkeypatch.setattr(sgpd.kgraph, "WORD_CAP", 250)
-        assert len(build_kgraph(skeleton, (4, 4)).class_of) == 250
-        monkeypatch.setattr(sgpd.kgraph, "WORD_CAP", 249)
-        message = r"more than 249 edge words within degree \(4, 4\)"
+        # the two objects count: 2 + 4 edges + 2 mixed words within (1, 1)
+        skeleton = two_vertex_skeleton()
+        count = len(build_kgraph(skeleton, (1, 1)).normal_form)
+        monkeypatch.setattr(sgpd.kgraph, "MORPHISM_CAP", count)
+        assert len(build_kgraph(skeleton, (1, 1)).normal_form) == count
+        monkeypatch.setattr(sgpd.kgraph, "MORPHISM_CAP", count - 1)
+        message = rf"more than {count - 1} morphisms within degree \(1, 1\)"
         with pytest.raises(BoundExceededError, match=message):
-            build_kgraph(skeleton, (4, 4))
+            build_kgraph(skeleton, (1, 1))
 
     def test_benchmark_and_ladder_cells_are_under_the_cap(self):
-        # the two-loop 2-graph at (8, 8) still builds; (9, 9) has 184,754 words
-        assert _word_count(two_loops(), (8, 8)) == 48_618 <= sgpd.kgraph.WORD_CAP
-        assert _word_count(two_loops(), (9, 9)) > sgpd.kgraph.WORD_CAP
+        # the benchmark's (4, 4) and the largest square bound, (16, 16)
+        cap = sgpd.kgraph.MORPHISM_CAP
+        assert _morphism_count(two_loops(), (4, 4)) == 25
+        assert _morphism_count(two_loops(), (16, 16)) == 289 <= cap
+        assert _morphism_count(two_loops(), (17, 17)) > cap

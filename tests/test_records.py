@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import sgpd
-from sgpd.core import POST_INIT, Frozen, MalformedTable, Record, SemigroupoidTable
+from sgpd.core import Frozen, MalformedTable, Record, SemigroupoidTable
 from sgpd.covers import CandidateNotSubset, CoverSpec
 from sgpd.kgraph import Edge, KGraph, KGraphSkeleton
 from sgpd.markov import EmptyAlphabet, Matrix01
@@ -39,16 +39,12 @@ def record_classes() -> list[type]:
 
 RECORDS = record_classes()
 
-# the fields `__post_init__` sets; the marker is gone from the class once it
-# is made, so the twin learns them here
-LATE = {(SemigroupoidTable, "composable")}
-
 # the members of a record class that the twin makes itself, or that are
 # the record's own bookkeeping
 MADE = {
     "__module__", "__qualname__", "__doc__", "__annotations__", "__dict__",
     "__weakref__", "__init__", "__eq__", "__hash__", "__repr__",
-    "_fields", "_params", "_defaults", "_checked",
+    "_fields", "_defaults", "_checked",
 }
 
 _twins: dict[type, type] = {}
@@ -82,11 +78,7 @@ def twin(cls) -> type:
         fields = []
         for name, annotation, default in declared(cls):
             namespace.pop(name, None)
-            if (cls, name) in LATE:
-                spec = dataclasses.field(init=False)
-            else:
-                spec = dataclasses.field(default=default)
-            fields.append((name, annotation, spec))
+            fields.append((name, annotation, dataclasses.field(default=default)))
         _twins[cls] = dataclasses.make_dataclass(
             cls.__name__, fields, namespace=namespace, frozen=True
         )
@@ -95,7 +87,7 @@ def twin(cls) -> type:
 
 def params(cls) -> list[tuple[str, object]]:
     """(name, default or MISSING) for the fields `__init__` takes."""
-    return [(n, d) for n, _, d in declared(cls) if (cls, n) not in LATE]
+    return [(n, d) for n, _, d in declared(cls)]
 
 
 def _table() -> SemigroupoidTable:
@@ -179,7 +171,6 @@ def test_checked_records_have_samples(cls):
 @pytest.mark.parametrize("cls", RECORDS, ids=ids)
 def test_fields_and_defaults(cls):
     assert cls._fields == tuple(n for n, _, _ in declared(cls))
-    assert cls._params == tuple(n for n, _ in params(cls))
     assert [f.name for f in dataclasses.fields(twin(cls))] == list(cls._fields)
 
 
@@ -266,19 +257,15 @@ def test_post_init_errors(cls):
         assert issubclass(got[0], error)
 
 
-def test_post_init_field():
+def test_composable_is_cached():
+    # the product's keys, computed on first use: no field, no argument
     table = SemigroupoidTable(frozenset({"f", "g", "m"}), {("f", "g"): "m"})
+    assert "composable" not in SemigroupoidTable._fields
+    assert "composable" not in vars(table)
     assert table.composable == frozenset({("f", "g")})
-    assert "composable" not in vars(SemigroupoidTable)
+    assert vars(table)["composable"] is table.composable
     with pytest.raises(TypeError, match="unexpected keyword argument 'composable'"):
         SemigroupoidTable(frozenset(), {}, composable=frozenset())
-
-    class Late(Record):
-        seen: int
-        double: int = POST_INIT
-
-    with pytest.raises(AttributeError):
-        Late(1).double
 
 
 def test_default_order_is_checked():
@@ -290,10 +277,12 @@ def test_default_order_is_checked():
 
 def test_cached_properties(fix_c, fix_d):
     for table in (fix_c.table, fix_d.table, _table()):
-        args = [getattr(table, n) for n in SemigroupoidTable._params]
+        args = [getattr(table, n) for n in SemigroupoidTable._fields]
         mirror = twin(SemigroupoidTable)(*args)
-        assert SemigroupoidTable(*args).followers == mirror.followers == table.followers
-        assert "followers" in vars(table)
+        for name in ("composable", "followers"):
+            assert getattr(SemigroupoidTable(*args), name) == getattr(mirror, name)
+            assert getattr(mirror, name) == getattr(table, name)
+            assert name in vars(table)
     for kg in (fix_c, fix_d):
         args = [getattr(kg, n) for n in KGraph._fields]
         assert KGraph(*args).slices == twin(KGraph)(*args).slices == kg.slices
