@@ -3,7 +3,8 @@
 Every verb prints a machine-readable section of stable `key: value` lines
 followed by a blank line and a human-readable summary; `--json` prints the
 machine section alone as JSON, and the one line of a failed verb as a
-JSON object of `verb`, `result` and `message`.  Identical inputs produce
+JSON object of `verb`, `result` and `message` (a malformed command line
+too, with `verb` null when no verb was read).  Identical inputs produce
 byte-identical machine sections.  Exit codes: 0 all checks passed, 1 a
 violation was found (witnesses printed), 2 malformed input or flags.
 """
@@ -309,8 +310,26 @@ def _bound(text: str) -> int:
     return value
 
 
+class _UsageError(Exception):
+    """argparse's message for a malformed command line, and the parser (or
+    subparser) that refused it."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and through `add_subparsers` each of its
+    subparsers, that raises `_UsageError` where argparse would print usage
+    and exit, so `run` can report the message as JSON."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgpd",
         description="Semigroupoid, Markov-word and k-graph structure checks.",
     )
@@ -382,10 +401,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> tuple[int, str]:
     parser = build_parser()
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
+        parser.parse_args(argv, args)
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), ""
+    except _UsageError as exc:
+        if args.json:
+            return 2, _failure(args, "error", exc)
+        exc.parser.print_usage(sys.stderr)
+        sys.stderr.write(f"{exc.parser.prog}: error: {exc}\n")
+        return 2, ""
     report = Report()
     report.add("verb", args.verb)
     try:

@@ -15,30 +15,35 @@ projection terms.  Three presentation styles are emitted:
 * Kumjian-Pask: the four k-graph families plus covering relations derived
   from minimal coverings at each object.
 
+Each presentation keeps its terms in one hash-consed arena (Filliatre and
+Conchon, *Type-safe modular hash-consing*, 2006): a node is a plain tuple
+of a kind and its children's ids (or a generator name), every distinct
+node is stored once, children before parents, and each node's text is
+built once from its children's texts.  A relation is a plain record
+(family, lhs id, rhs id, note).  The emitters build ids directly; `Term`
+and `Relation` objects are views, built only when a caller reads
+``Presentation.relations``.  Nodes and records are tuples of strings and
+ints, which the cyclic garbage collector stops tracking, so emitting a
+large presentation triggers no full collection.
+
 Presentations carry no analytic content: cross-checking evaluates every
 relation of two presentations under one concrete representation and
 reports violations on both sides.  When the representation has projection
-atoms (see ``reps``), a relation whose two sides are built from Q_f, P_f,
-one and zero by products, joins and complements is decided on atom masks
-(`atom_mask`); every other relation is evaluated on matrices.
-
-Each emitter call keeps one map from the clause symbols S_f, S_f*, Q_f and
-P_f, and from the axiom clause sides, to their terms, so each of those
-terms is built once per call and shared by every relation that uses it;
-nothing is cached across calls.  Every term sets its text (from its
-children's stored texts) and its hash (of its class and text) once, when
-it is built: each term is rendered once, and the memo that evaluates a
-presentation finds a shared sub-term in O(1).  One `evaluate` call also
-keeps a product table, so each distinct pair of factor matrices is
-multiplied once.
+atoms (see ``reps``), one forward pass over the arena gives the atom mask
+of every node built from Q_f, P_f, one and zero by products, joins and
+complements, and a relation whose two sides both have a mask is decided on
+the masks; every other relation is evaluated on matrices, each node at
+most once and each distinct pair of factor matrices multiplied once per
+call.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from collections.abc import Sequence
+from functools import cached_property, reduce
 from itertools import combinations
-from operator import or_
-from typing import Mapping
+from operator import and_, or_
+from typing import Callable, Mapping
 
 from .core import Frozen, Record, SemigroupoidTable, SgpdError
 from .covers import BoundExceededError, object_families, selector_families
@@ -48,7 +53,8 @@ from .matrices import RatMat, join
 from .reps import ProjectionAtoms, Representation, axiom_clauses
 
 # el13 relations (4^n for n letters) the Cuntz-Krieger emitter may emit;
-# 8 letters take seconds, 10 take minutes
+# on a 2-CPU host 8 letters take about 1 s and 106 MB, and 9 about 4 s and
+# 400 MB
 EL13_CAP = 4**8
 
 
@@ -63,22 +69,33 @@ class SourcesPresent(SgpdError):
 _set = object.__setattr__
 
 
+def _text(kind: str, parts) -> str:
+    """The text of a term of this kind whose name or children read
+    `parts`: ``(kind part ...)``, and "one" or "zero" when there are no
+    parts, except for the empty product ``(mul )``."""
+    if parts or kind == "mul":
+        return f"({kind} " + " ".join(parts) + ")"
+    return "one" if kind == "one" else "zero"
+
+
 class Term(Frozen):
-    """A term of a relation: an immutable value with at most one field,
-    named by `_field`.  `__init__` sets the field, the text and the hash
-    once.  The text is built from the children's stored texts, so a
-    sub-term shared by many relations is rendered once, and the hash is of
-    the class and the text, so hashing never walks the sub-terms.  Equality
-    is structural: the same class and equal fields (the text alone is not
-    enough, since an empty sum, an empty join and zero all read "zero").
-    Terms are slotted and take their immutability from `core.Frozen`, as
-    the records of `core.Record` do, and `repr` reads like a record's:
-    ``Mul(factors=(...))``."""
+    """A term of a relation written by hand, or a view of an arena node:
+    an immutable value with at most one field, named by `_field`, whose
+    arena node kind is `_kind`.  `__init__` sets the field, the text and
+    the hash once.  The text is built from the children's stored texts,
+    and the hash is of the class and the text, so hashing never walks the
+    sub-terms.  Equality is structural: the same class and equal fields
+    (the text alone is not enough, since an empty sum, an empty join and
+    zero all read "zero").  Terms are slotted and take their immutability
+    from `core.Frozen`, as the records of `core.Record` do, and `repr`
+    reads like a record's: ``Mul(factors=(...))``."""
 
     __slots__ = ("_text", "_hash")
     _field = ""
+    _kind = ""
 
-    def _seal(self, text: str) -> None:
+    def _seal(self, parts) -> None:
+        text = _text(self._kind, parts)
         _set(self, "_text", text)
         _set(self, "_hash", hash((self.__class__, text)))
 
@@ -103,70 +120,72 @@ class Term(Frozen):
 
 class Gen(Term):
     __slots__ = ("name",)
-    _field = "name"
+    _field, _kind = "name", "gen"
 
     def __init__(self, name: str):
         _set(self, "name", name)
-        self._seal(f"(gen {name})")
+        self._seal((name,))
 
 
 class Adj(Term):
     __slots__ = ("name",)
-    _field = "name"
+    _field, _kind = "name", "adj"
 
     def __init__(self, name: str):
         _set(self, "name", name)
-        self._seal(f"(adj {name})")
+        self._seal((name,))
 
 
 class One(Term):
     __slots__ = ()
+    _kind = "one"
 
     def __init__(self):
-        self._seal("one")
+        self._seal(())
 
 
 class Zero(Term):
     __slots__ = ()
+    _kind = "zero"
 
     def __init__(self):
-        self._seal("zero")
+        self._seal(())
 
 
 class Mul(Term):
     __slots__ = ("factors",)
-    _field = "factors"
+    _field, _kind = "factors", "mul"
 
     def __init__(self, factors: tuple[Term, ...]):
         factors = tuple(factors)
         _set(self, "factors", factors)
-        self._seal("(mul " + " ".join([t._text for t in factors]) + ")")
+        self._seal([t._text for t in factors])
 
 
 class Add(Term):
     __slots__ = ("terms",)
-    _field = "terms"
+    _field, _kind = "terms", "sum"
 
     def __init__(self, terms: tuple[Term, ...]):
         terms = tuple(terms)
         _set(self, "terms", terms)
-        self._seal("(sum " + " ".join([t._text for t in terms]) + ")" if terms else "zero")
+        self._seal([t._text for t in terms])
 
 
 class Compl(Term):
     __slots__ = ("term",)
-    _field = "term"
+    _field, _kind = "term", "compl"
 
     def __init__(self, term: Term):
         if not certified_projection(term):
             raise ValueError("complement of an uncertified projection term")
         _set(self, "term", term)
-        self._seal("(compl " + term._text + ")")
+        self._seal((term._text,))
 
 
 class Join(Term):
     __slots__ = ("terms",)
-    _field = "terms"
+    _field, _kind = "terms", "join"
 
     def __init__(self, terms: tuple[Term, ...]):
         terms = tuple(terms)
@@ -174,41 +193,19 @@ class Join(Term):
             if not certified_projection(t):
                 raise ValueError("join over an uncertified projection term")
         _set(self, "terms", terms)
-        self._seal("(join " + " ".join([t._text for t in terms]) + ")" if terms else "zero")
+        self._seal([t._text for t in terms])
 
 
-class _Symbols(dict):
-    """The terms of the clause symbols of one emitter call, each built once:
-    ("S", f) is (gen f), ("S*", f) is (adj f), and ("Q", f) and ("P", f) are
-    the initial and final projection products of those two.  An axiom
-    clause side (a tuple of symbols, or None for zero; see `reps.Side`) is
-    built once too: the product of its symbols, a single symbol bare."""
-
-    def __missing__(self, key) -> Term:
-        if key is None:
-            term = Zero()
-        elif isinstance(key[0], tuple):
-            terms = tuple([self[s] for s in key])
-            term = terms[0] if len(terms) == 1 else Mul(terms)
-        else:
-            kind, f = key
-            if kind == "S":
-                term = Gen(f)
-            elif kind == "S*":
-                term = Adj(f)
-            else:
-                s, t = self["S", f], self["S*", f]
-                term = Mul((t, s)) if kind == "Q" else Mul((s, t))
-        self[key] = term
-        return term
+# the term class of each arena node kind
+_CLASSES = {cls._kind: cls for cls in (Gen, Adj, One, Zero, Mul, Add, Compl, Join)}
 
 
 def q_term(f: str) -> Term:
-    return _Symbols()["Q", f]
+    return Mul((Adj(f), Gen(f)))
 
 
 def p_term(f: str) -> Term:
-    return _Symbols()["P", f]
+    return Mul((Gen(f), Adj(f)))
 
 
 def _projection_symbol(term: Term) -> tuple[str, str] | None:
@@ -244,6 +241,83 @@ def render_term(term: Term) -> str:
     return term._text
 
 
+class Arena(dict):
+    """The hash-consed nodes of one presentation, each mapped to its id.
+
+    A node is ("gen", name), ("adj", name), ("one",), ("zero",), or
+    (kind, child id, ...) for the kinds "mul", "sum", "join" and "compl".
+    Reading a node that is not yet stored appends it: its id is its index
+    in `nodes`, so children have lower ids than their parents, and
+    `texts[id]` is its text, built once from its children's texts."""
+
+    def __init__(self):
+        super().__init__()
+        self.nodes: list[tuple] = []
+        self.texts: list[str] = []
+
+    def __missing__(self, node: tuple) -> int:
+        kind, texts = node[0], self.texts
+        if kind == "gen" or kind == "adj":
+            text = f"({kind} {node[1]})"
+        elif len(node) == 3:  # the common binary node, as `_text` reads it
+            text = f"({kind} {texts[node[1]]} {texts[node[2]]})"
+        else:
+            text = _text(kind, [texts[c] for c in node[1:]])
+        i = self[node] = len(texts)
+        self.nodes.append(node)
+        texts.append(text)
+        return i
+
+    def intern(self, term: Term, memo: dict[Term, int]) -> int:
+        """The id of a term's node; `memo` holds the ids of terms already
+        interned."""
+        i = memo.get(term)
+        if i is None:
+            kind, field = term._kind, term._field
+            value = getattr(term, field) if field else ()
+            if isinstance(value, str):
+                node = (kind, value)
+            elif isinstance(value, Term):
+                node = (kind, self.intern(value, memo))
+            else:
+                node = (kind, *[self.intern(t, memo) for t in value])
+            i = memo[term] = self[node]
+        return i
+
+
+class _Symbols(dict):
+    """The ids of the clause symbols of one emitter call, each looked up
+    once: ("S", f) is (gen f), ("S*", f) is (adj f), and ("Q", f) and
+    ("P", f) are the initial and final projection products of those two."""
+
+    def __init__(self, arena: Arena):
+        super().__init__()
+        self.arena = arena
+
+    def __missing__(self, key: tuple[str, str]) -> int:
+        kind, f = key
+        arena = self.arena
+        if kind == "S":
+            i = arena["gen", f]
+        elif kind == "S*":
+            i = arena["adj", f]
+        else:
+            s, t = self["S", f], self["S*", f]
+            i = arena["mul", t, s] if kind == "Q" else arena["mul", s, t]
+        self[key] = i
+        return i
+
+    def side(self, side) -> int:
+        """The id of an axiom clause side (a tuple of symbols, or None for
+        zero; see `reps.Side`): the product of its symbols, a single
+        symbol bare."""
+        if side is None:
+            return self.arena["zero",]
+        if len(side) == 1:
+            return self[side[0]]
+        return self.arena[("mul", *map(self.__getitem__, side))]
+
+
 class Products(dict):
     """A product table: (A, B) -> A @ B, each distinct pair of matrices
     multiplied once, the first time it is read."""
@@ -257,6 +331,46 @@ class Products(dict):
         return self[a, b]
 
 
+def _matrices(
+    nodes, lookup: Mapping[str, RatMat], dim: int, products: Products
+) -> Callable[[int], RatMat]:
+    """The function from a node id to its matrix, with generators read from
+    `lookup`: each node is evaluated at most once, the first time it is
+    asked for, and every product is read from `products`."""
+    values: list[RatMat | None] = [None] * len(nodes)
+    times = products.times
+
+    def value(i: int) -> RatMat:
+        out = values[i]
+        if out is not None:
+            return out
+        node = nodes[i]
+        kind = node[0]
+        if kind == "gen" or kind == "adj":
+            name = node[1]
+            if name not in lookup:
+                raise IncompatibleGenerators(f"no matrix for generator {name!r}")
+            out = lookup[name] if kind == "gen" else lookup[name].T
+        elif kind == "one":
+            out = RatMat.identity(dim)
+        elif kind == "zero":
+            out = RatMat.zeros(dim)
+        elif kind == "compl":
+            out = RatMat.identity(dim) - value(node[1])
+        else:
+            parts = [value(c) for c in node[1:]]
+            if kind == "mul":
+                out = reduce(times, parts) if parts else RatMat.identity(dim)
+            elif kind == "sum":
+                out = sum(parts, RatMat.zeros(dim))
+            else:
+                out = join(parts, dim, times)
+        values[i] = out
+        return out
+
+    return value
+
+
 def eval_term(
     term: Term,
     lookup: Mapping[str, RatMat],
@@ -264,103 +378,58 @@ def eval_term(
     memo: dict[Term, RatMat] | None = None,
     products: Products | None = None,
 ) -> RatMat:
-    """The matrix of a term, with generators read from `lookup`.  `memo`
-    holds the values of terms already evaluated under the same lookup and
-    dim, and every product is read from `products`: each sub-term is
-    evaluated once per memo, and each distinct pair of factors multiplied
-    once per table."""
-    if memo is None:
-        memo = {}
-    if products is None:
-        products = Products()
-    value = memo.get(term)
-    if value is not None:
-        return value
-    if isinstance(term, (Gen, Adj)):
-        if term.name not in lookup:
-            raise IncompatibleGenerators(f"no matrix for generator {term.name!r}")
-        value = lookup[term.name] if isinstance(term, Gen) else lookup[term.name].T
-    elif isinstance(term, One):
-        value = RatMat.identity(dim)
-    elif isinstance(term, Zero):
-        value = RatMat.zeros(dim)
-    elif isinstance(term, Mul):
-        factors = [eval_term(t, lookup, dim, memo, products) for t in term.factors]
-        value = reduce(products.times, factors) if factors else RatMat.identity(dim)
-    elif isinstance(term, Add):
-        value = RatMat.zeros(dim)
-        for t in term.terms:
-            value = value + eval_term(t, lookup, dim, memo, products)
-    elif isinstance(term, Join):
-        terms = (eval_term(t, lookup, dim, memo, products) for t in term.terms)
-        value = join(terms, dim, products.times)
-    elif isinstance(term, Compl):
-        value = RatMat.identity(dim) - eval_term(term.term, lookup, dim, memo, products)
-    else:
-        raise TypeError(f"unknown term {term!r}")
-    memo[term] = value
+    """The matrix of a term, with generators read from `lookup`: the term
+    is interned into an arena of its own and evaluated as `evaluate` does.
+    `memo` holds the values of terms already evaluated under the same
+    lookup and dim, and every product is read from `products`, so each
+    distinct pair of factors is multiplied once per table."""
+    if memo is not None and term in memo:
+        return memo[term]
+    arena = Arena()
+    i = arena.intern(term, {})
+    value = _matrices(arena.nodes, lookup, dim, Products() if products is None else products)(i)
+    if memo is not None:
+        memo[term] = value
     return value
 
 
-_UNWALKED = object()
-
-
-def atom_mask(
-    term: Term,
-    symbols: Mapping[tuple[str, str], int],
-    atoms: ProjectionAtoms,
-    memo: dict[Term, int | None],
-) -> int | None:
-    """The atom mask of a term built from Q_f, P_f, one and zero by
-    products, joins and complements, or None for any other term (one with
-    a generator, an adjoint or a sum outside those shapes, or a symbol
-    missing from `symbols`).  `symbols` maps each ("Q", f) and ("P", f) to
-    the mask of its matrix; `memo` holds the masks of terms already walked.
+def _atom_masks(nodes, atoms: ProjectionAtoms, symbols: Mapping) -> list[int | None]:
+    """The atom mask of every node, in one pass, children first: for a node
+    built from Q_f, P_f, one and zero by products, joins and complements,
+    and None for any other (one with a generator, an adjoint or a sum
+    outside those shapes, or a symbol missing from `symbols`).  `symbols`
+    maps the factor nodes of each Q_f and P_f shape to the mask of its
+    matrix.
 
     Exact: the atoms are nonzero, pairwise orthogonal and sum to the
     identity, so distinct masks are distinct matrices; and commuting
-    projections multiply by AND (`ProjectionAtoms.meet`), join by OR and
-    complement by `full & ~m`."""
-    mask = memo.get(term, _UNWALKED)
-    if mask is not _UNWALKED:
-        return mask
-    mask = None
-    if isinstance(term, Mul):
-        parts = _masks(term.factors, symbols, atoms, memo)
-        if parts is not None:
-            mask = atoms.meet(parts)
-        else:
-            symbol = _projection_symbol(term)
-            if symbol is not None:
-                mask = symbols.get(symbol)
-    elif isinstance(term, One):
-        mask = atoms.full
-    elif isinstance(term, Zero):
-        mask = 0
-    elif isinstance(term, Join):
-        parts = _masks(term.terms, symbols, atoms, memo)
-        if parts is not None:
-            mask = reduce(or_, parts, 0)
-    elif isinstance(term, Compl):
-        inner = atom_mask(term.term, symbols, atoms, memo)
-        if inner is not None:
-            mask = atoms.full & ~inner
-    memo[term] = mask
-    return mask
-
-
-def _masks(terms, symbols, atoms, memo) -> list[int] | None:
-    """The `atom_mask` of each term, read from `memo` before walking, or
-    None at the first term that has none."""
-    parts = []
-    for t in terms:
-        mask = memo.get(t, _UNWALKED)
-        if mask is _UNWALKED:
-            mask = atom_mask(t, symbols, atoms, memo)
-        if mask is None:
-            return None
-        parts.append(mask)
-    return parts
+    projections multiply by AND, join by OR and complement by
+    `full & ~m`."""
+    full = atoms.full
+    masks: list[int | None] = []
+    for node in nodes:
+        kind = node[0]
+        mask = None
+        if kind == "mul" and len(node) == 3:
+            a, b = masks[node[1]], masks[node[2]]
+            if a is not None and b is not None:
+                mask = a & b
+            else:
+                mask = symbols.get((nodes[node[1]], nodes[node[2]]))
+        elif kind == "mul" or kind == "join":
+            parts = [masks[c] for c in node[1:]]
+            if None not in parts:
+                mask = reduce(and_, parts, full) if kind == "mul" else reduce(or_, parts, 0)
+        elif kind == "compl":
+            inner = masks[node[1]]
+            if inner is not None:
+                mask = full & ~inner
+        elif kind == "one":
+            mask = full
+        elif kind == "zero":
+            mask = 0
+        masks.append(mask)
+    return masks
 
 
 class Relation(Frozen):
@@ -399,24 +468,116 @@ class Relation(Frozen):
         return f"rel: {family}: {lhs} = {rhs}"
 
 
+class Relations(Frozen, Sequence):
+    """The relations of one presentation over its arena: `nodes` and
+    `texts` are the arena's (see `Arena`), and `records` holds one
+    (family, lhs id, rhs id, note) tuple per relation, in order.
+
+    As a sequence it reads as the `Relation`s it stores, built on demand:
+    reading an item builds one view, and iterating builds one view per
+    record, with the terms of a node shared by several relations built
+    once.  It compares equal to (and hashes as) the tuple of its views."""
+
+    __slots__ = ("nodes", "texts", "records")
+
+    def __init__(self, nodes, texts, records):
+        _set(self, "nodes", tuple(nodes))
+        _set(self, "texts", tuple(texts))
+        _set(self, "records", tuple(records))
+
+    @classmethod
+    def intern(cls, relations) -> Relations:
+        """Relations written with terms, interned into a new arena."""
+        arena, memo = Arena(), {}
+        records = [
+            (r.family, arena.intern(r.lhs, memo), arena.intern(r.rhs, memo), r.note)
+            for r in relations
+        ]
+        return cls(arena.nodes, arena.texts, records)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.views(self.records[index])
+        return self.views((self.records[index],))[0]
+
+    def __iter__(self):
+        memo: dict[int, Term] = {}
+        for record in self.records:
+            yield self._view(record, memo)
+
+    def views(self, records) -> tuple[Relation, ...]:
+        """The `Relation` of each record, sharing the terms of shared nodes."""
+        memo: dict[int, Term] = {}
+        return tuple([self._view(r, memo) for r in records])
+
+    def _view(self, record, memo: dict[int, Term]) -> Relation:
+        family, lhs, rhs, note = record
+        return Relation(family, self._term(lhs, memo), self._term(rhs, memo), note)
+
+    def _term(self, i: int, memo: dict[int, Term]) -> Term:
+        term = memo.get(i)
+        if term is None:
+            kind, *parts = self.nodes[i]
+            cls = _CLASSES[kind]
+            if kind == "gen" or kind == "adj" or not cls._field:
+                term = cls(*parts)
+            elif kind == "compl":
+                term = cls(self._term(parts[0], memo))
+            else:
+                term = cls(tuple([self._term(c, memo) for c in parts]))
+            memo[i] = term
+        return term
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Relations, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class Presentation(Record):
+    """A style, its generators and its relations: the emitters give a
+    `Relations`; any other sequence of `Relation`s is interned into an
+    arena of its own the first time the presentation is rendered or
+    evaluated."""
+
     style: str
     generators: tuple[str, ...]
-    relations: tuple[Relation, ...]
+    relations: Sequence[Relation]
+
+    @cached_property
+    def _interned(self) -> Relations:
+        relations = self.relations
+        return relations if isinstance(relations, Relations) else Relations.intern(relations)
 
     def render(self) -> str:
+        interned = self._interned
+        texts = interned.texts
         lines = [f"style: {self.style}", "generators: " + " ".join(self.generators)]
-        lines.extend(r.render() for r in self.relations)
+        lines += [
+            f"rel: {family}: {texts[lhs]} = {texts[rhs]}"
+            for family, lhs, rhs, _ in interned.records
+        ]
         return "\n".join(lines) + "\n"
 
 
-def _finish(style: str, generators, relations) -> Presentation:
-    """The first relation of each key, ordered by key."""
-    first: dict[tuple[str, str, str], Relation] = {}
-    for r in relations:
-        first.setdefault(r.key, r)
-    ordered = tuple(first[key] for key in sorted(first))
-    return Presentation(style, tuple(sorted(generators)), ordered)
+def _finish(style: str, generators, arena: Arena, records) -> Presentation:
+    """The first record of each key (family, lhs text, rhs text), ordered
+    by key."""
+    texts = arena.texts
+    first: dict[tuple[str, str, str], tuple] = {}
+    for r in records:
+        first.setdefault((r[0], texts[r[1]], texts[r[2]]), r)
+    ordered = [first[key] for key in sorted(first)]
+    return Presentation(style, tuple(sorted(generators)), Relations(arena.nodes, texts, ordered))
 
 
 def emit_generic(
@@ -429,21 +590,23 @@ def emit_generic(
     covering relation per minimal covering of each selector family, the
     same clauses and family scope the checkers enforce.  tight=False is the
     Toeplitz presentation."""
-    sym = _Symbols()
+    arena = Arena()
+    sym = _Symbols(arena)
+    side = sym.side
     rels = [
-        Relation(family, sym[lhs], sym[rhs])
+        (family, side(lhs), side(rhs), "")
         for _, family, _, lhs, rhs in axiom_clauses(table)
     ]
     if tight:
         for required, forbidden, coverings in selector_families(table, max_fg, max_cover):
             factors = [sym["Q", f] for f in required]
-            factors += [Compl(sym["Q", g]) for g in forbidden]
-            rhs = Mul(tuple(factors))
+            factors += [arena["compl", sym["Q", g]] for g in forbidden]
+            rhs = arena[("mul", *factors)]
             note = _family_note(required, forbidden)
             for spec in coverings:
-                lhs = Join(tuple(sym["P", h] for h in sorted(spec.candidate)))
-                rels.append(Relation("tight", lhs, rhs, note))
-    return _finish("tight" if tight else "toeplitz", table.elements, rels)
+                lhs = arena[("join", *[sym["P", h] for h in sorted(spec.candidate)])]
+                rels.append(("tight", lhs, rhs, note))
+    return _finish("tight" if tight else "toeplitz", table.elements, arena, rels)
 
 
 def _family_note(required, forbidden) -> str:
@@ -469,33 +632,34 @@ def emit_cuntz_krieger(matrix: Matrix01) -> Presentation:
         raise BoundExceededError(
             f"more than {EL13_CAP} el13 relations for {len(letters)} letters"
         )
-    sym = _Symbols()
-    rels: list[Relation] = []
+    arena = Arena()
+    sym = _Symbols(arena)
+    zero = arena["zero",]
+    rels: list[tuple] = []
     for i in letters:
         s = sym["S", i]
-        rels.append(Relation("tck1", Mul((s, sym["S*", i], s)), s))
+        rels.append(("tck1", arena["mul", s, sym["S*", i], s], s, ""))
     for a, b in combinations(letters, 2):
         for kind in ("Q", "P"):
             x, y = sym[kind, a], sym[kind, b]
-            rels.append(Relation("tck1", Mul((x, y)), Mul((y, x))))
+            rels.append(("tck1", arena["mul", x, y], arena["mul", y, x], ""))
     for a in letters:
         for b in letters:
             q, p = sym["Q", a], sym["P", b]
-            rels.append(Relation("tck1", Mul((q, p)), Mul((p, q))))
+            qp = arena["mul", q, p]
+            rels.append(("tck1", qp, arena["mul", p, q], ""))
             if a != b:
-                rels.append(Relation("tck2", Mul((sym["S*", a], sym["S", b])), Zero()))
-            rhs = p if b in matrix.follows[a] else Zero()
-            rels.append(Relation("tck3", Mul((q, p)), rhs))
+                rels.append(("tck2", arena["mul", sym["S*", a], sym["S", b]], zero, ""))
+            rels.append(("tck3", qp, p if b in matrix.follows[a] else zero, ""))
     for required in _subsets(letters):
         for forbidden in _subsets(letters):
-            lhs_factors: list[Term] = [sym["Q", x] for x in required]
-            lhs_factors.extend(Compl(sym["Q", y]) for y in forbidden)
-            lhs = Mul(tuple(lhs_factors)) if lhs_factors else One()
+            factors = [sym["Q", x] for x in required]
+            factors += [arena["compl", sym["Q", y]] for y in forbidden]
+            lhs = arena[("mul", *factors)] if factors else arena["one",]
             admitted = follower_letters(matrix, required, forbidden)
-            rhs = Add(tuple(sym["P", j] for j in letters if j in admitted))
-            note = _family_note(required, forbidden)
-            rels.append(Relation("el13", lhs, rhs, note))
-    return _finish("cuntz-krieger", letters, rels)
+            rhs = arena[("sum", *[sym["P", j] for j in letters if j in admitted])]
+            rels.append(("el13", lhs, rhs, _family_note(required, forbidden)))
+    return _finish("cuntz-krieger", letters, arena, rels)
 
 
 def emit_kumjian_pask(kg: KGraph, max_cover: int = 6) -> Presentation:
@@ -503,29 +667,32 @@ def emit_kumjian_pask(kg: KGraph, max_cover: int = 6) -> Presentation:
     plus covering relations per object derived from minimal coverings."""
     if rfns_check(kg) is not True:
         raise SourcesPresent("degree slices are not all nonempty")
-    sym = _Symbols()
-    rels: list[Relation] = []
+    arena = Arena()
+    sym = _Symbols(arena)
+    zero = arena["zero",]
+    rels: list[tuple] = []
     objects = sorted(kg.objects)
     morphisms = sorted(kg.normal_form)
     for v in objects:
-        rels.append(Relation("kp1", sym["S", v], sym["S*", v]))
-        rels.append(Relation("kp1", Mul((sym["S", v], sym["S", v])), sym["S", v]))
+        s = sym["S", v]
+        rels.append(("kp1", s, sym["S*", v], ""))
+        rels.append(("kp1", arena["mul", s, s], s, ""))
     for u, v in combinations(objects, 2):
-        rels.append(Relation("kp1", Mul((sym["S", u], sym["S", v])), Zero()))
-        rels.append(Relation("kp1", Mul((sym["S", v], sym["S", u])), Zero()))
+        rels.append(("kp1", arena["mul", sym["S", u], sym["S", v]], zero, ""))
+        rels.append(("kp1", arena["mul", sym["S", v], sym["S", u]], zero, ""))
     for (f, g) in sorted(kg.table.composable):
-        lhs = Mul((sym["S", f], sym["S", g]))
-        rels.append(Relation("kp2", lhs, sym["S", kg.table.product[(f, g)]]))
+        lhs = arena["mul", sym["S", f], sym["S", g]]
+        rels.append(("kp2", lhs, sym["S", kg.table.product[(f, g)]], ""))
     for f in morphisms:
-        rels.append(Relation("kp3", sym["Q", f], sym["S", kg.source[f]]))
+        rels.append(("kp3", sym["Q", f], sym["S", kg.source[f]], ""))
     for (v, n), members in kg.slices.items():
-        terms = Add(tuple(sym["P", f] for f in sorted(members)))
-        rels.append(Relation("kp4", sym["S", v], terms, note=f"object={v} degree={n}"))
+        terms = arena[("sum", *[sym["P", f] for f in sorted(members)])]
+        rels.append(("kp4", sym["S", v], terms, f"object={v} degree={n}"))
     for (v,), _, coverings in object_families(kg.table, objects, max_cover):
         for spec in coverings:
-            joined = Join(tuple(sym["P", h] for h in sorted(spec.candidate)))
-            rels.append(Relation("kp-cover", sym["S", v], joined, note=f"object={v}"))
-    return _finish("kumjian-pask", morphisms, rels)
+            joined = arena[("join", *[sym["P", h] for h in sorted(spec.candidate)])]
+            rels.append(("kp-cover", sym["S", v], joined, f"object={v}"))
+    return _finish("kumjian-pask", morphisms, arena, rels)
 
 
 class CrossCheckReport(Record):
@@ -561,10 +728,10 @@ def evaluate(
     rename map sends presentation generators to table elements.
 
     When the representation has projection atoms (`reps.ProjectionAtoms`),
-    a relation whose two sides both have an `atom_mask` is decided on the
+    a relation whose two sides both have an atom mask is decided on the
     masks; every other relation, and every relation of a representation
-    without atoms, is decided on matrices.  Sub-terms shared between
-    relations are walked and evaluated once per call."""
+    without atoms, is decided on matrices.  Each node of the arena is
+    walked and evaluated at most once per call."""
     rename = rename or {}
     lookup: dict[str, RatMat] = {}
     for g in pres.generators:
@@ -574,29 +741,32 @@ def evaluate(
                 f"generator {g!r} (as {token!r}) has no matrix in the representation"
             )
         lookup[g] = rep.assign[token]
+    interned = pres._interned
+    nodes = interned.nodes
     atoms = rep._atoms
-    symbols: dict[tuple[str, str], int] = {}
+    masks = None
     if atoms is not None:
+        symbols = {}
         for g in pres.generators:
-            for kind in ("Q", "P"):
+            s, t = ("gen", g), ("adj", g)
+            for kind, pair in (("Q", (t, s)), ("P", (s, t))):
                 mask = atoms.masks.get((kind, rename.get(g, g)))
                 if mask is not None:
-                    symbols[kind, g] = mask
-    masks: dict[Term, int | None] = {}
-    memo: dict[Term, RatMat] = {}
-    products = Products()
+                    symbols[pair] = mask
+        masks = _atom_masks(nodes, atoms, symbols)
+    value = _matrices(nodes, lookup, rep.dim, Products())
     bad = []
-    for r in pres.relations:
-        lhs = rhs = None
-        if atoms is not None:
-            lhs = atom_mask(r.lhs, symbols, atoms, masks)
-            rhs = None if lhs is None else atom_mask(r.rhs, symbols, atoms, masks)
-        if lhs is None or rhs is None:
-            lhs = eval_term(r.lhs, lookup, rep.dim, memo, products)
-            rhs = eval_term(r.rhs, lookup, rep.dim, memo, products)
-        if lhs != rhs:
-            bad.append(r)
-    return tuple(bad)
+    for record in interned.records:
+        lhs, rhs = record[1], record[2]
+        if masks is not None:
+            a, b = masks[lhs], masks[rhs]
+            if a is not None and b is not None:
+                if a != b:
+                    bad.append(record)
+                continue
+        if value(lhs) != value(rhs):
+            bad.append(record)
+    return interned.views(bad)
 
 
 def cross_check(

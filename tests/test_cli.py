@@ -255,6 +255,30 @@ class TestFailures:
         assert (payload["verb"], payload["result"]) == ("validate", "error")
         assert payload["message"].startswith("cannot read /nonexistent/x.sgpd")
 
+    @pytest.mark.parametrize(
+        "argv, verb, message",
+        [
+            (["rep", "check", "{table}", "{rep}", "--tight", "--max-fg", "-1"], "rep",
+             "argument --max-fg: must be at least 0, got -1"),
+            (["nosuchverb"], None,
+             "argument verb: invalid choice: 'nosuchverb' (choose from 'validate', "
+             "'analyze', 'despring', 'markov', 'kgraph', 'covers', 'rep', 'relations')"),
+            ([], None, "the following arguments are required: verb"),
+        ],
+        ids=["negative-bound", "unknown-verb", "no-verb"],
+    )
+    def test_malformed_command_line(self, golden_table, golden_zero_rep, capsys,
+                                    argv, verb, message):
+        """argparse's refusal: with --json one JSON object on stdout, and in
+        text mode nothing on stdout and argparse's usage on stderr."""
+        argv = [a.format(table=golden_table, rep=golden_zero_rep) for a in argv]
+        code, text = run(["--json", *argv])
+        assert code == 2 and text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text) == {"verb": verb, "result": "error", "message": message}
+        assert capsys.readouterr().err == ""
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
 
 class TestDeterminism:
     def test_machine_section_stable(self, golden_table):

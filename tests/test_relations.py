@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgpd.relations
+from sgpd.core import SemigroupoidTable
 from sgpd.covers import BoundExceededError
 from sgpd.kgraph import Edge, KGraphSkeleton, build_kgraph
 from sgpd.markov import Matrix01, build_markov
@@ -21,6 +23,7 @@ from sgpd.relations import (
     Presentation,
     Products,
     Relation,
+    Relations,
     SourcesPresent,
     Zero,
     certified_projection,
@@ -853,3 +856,82 @@ class TestTermContract:
             with pytest.raises(AttributeError):
                 setattr(r, attr, None)
         assert not hasattr(r, "__dict__")
+
+
+# ---- the arena against the term evaluators and renderer
+
+
+FUZZ_TABLE = SemigroupoidTable.build({"f", "g", "fg"}, {("f", "g"): "fg"})
+FUZZ_REPS = [*_atom_reps(FUZZ_TABLE).values(), _atom_free_rep(FUZZ_TABLE)]
+FAMILIES = st.sampled_from(["a", "b"])
+
+
+class TestArena:
+    def test_fuzz_reps_with_and_without_atoms(self):
+        assert [rep._atoms is not None for rep in FUZZ_REPS] == [True] * 5 + [False]
+
+    @TERMS_FUZZ
+    @given(st.lists(st.tuples(FAMILIES, TERMS, TERMS), min_size=1, max_size=5))
+    def test_render_and_violations_match_the_terms(self, sides):
+        """A hand-built presentation of random certified terms renders as
+        `ref_render` reads its terms, and evaluating it on its arena gives
+        the violations of `eval_term` on both sides of every relation, and
+        of the plain-Fraction evaluator."""
+        relations = tuple(Relation(family, a, b, "n") for family, a, b in sides)
+        pres = Presentation("fuzz", ("f", "fg", "g"), relations)
+        lines = [f"rel: {family}: {ref_render(a)} = {ref_render(b)}" for family, a, b in sides]
+        assert pres.render() == "style: fuzz\ngenerators: f fg g\n" + "\n".join(lines) + "\n"
+        for rep in FUZZ_REPS:
+            want = matrix_violations(pres, rep)
+            assert evaluate(pres, rep) == want == ref_violations(pres, rep)
+
+    @TERMS_FUZZ
+    @given(st.lists(st.tuples(FAMILIES, TERMS, TERMS), min_size=1, max_size=5))
+    def test_views_read_back_the_relations(self, sides):
+        relations = tuple(Relation(family, a, b) for family, a, b in sides)
+        interned = Relations.intern(relations)
+        assert len(interned) == len(relations)
+        assert tuple(interned) == relations == interned
+        assert interned[-1] == relations[-1] and interned[:2] == relations[:2]
+        assert hash(interned) == hash(relations) and repr(interned) == repr(relations)
+
+    def test_repeated_subterm_is_one_node(self, fix_c, fix_d, fix_f, golden):
+        """Each emitter call stores every distinct term once, children
+        before parents, with the text its view renders to: a sub-term of
+        several relations is one node."""
+        for pres in _presentations(fix_c, fix_d, fix_f, golden):
+            rels = pres.relations
+            nodes = rels.nodes
+            assert len(set(nodes)) == len(nodes)
+            for i, (kind, *parts) in enumerate(nodes):
+                assert kind in ("gen", "adj") or all(c < i for c in parts)
+            memo = {}
+            views = [rels._term(i, memo) for i in range(len(nodes))]
+            assert len(set(views)) == len(views)
+            assert [render_term(t) for t in views] == list(rels.texts)
+            users = {}
+            for r in rels:
+                for t in {*subterms(r.lhs), *subterms(r.rhs)}:
+                    users[t] = users.get(t, 0) + 1
+            assert set(users) <= set(views)
+            shared = max(users, key=users.get)
+            assert users[shared] > 1 and views.count(shared) == 1
+
+    def test_emit_render_evaluate_leave_no_tracked_objects(self):
+        """Arena nodes and relation records are tuples of strings and ints,
+        which the cyclic collector stops tracking: emitting, rendering and
+        evaluating the 3,846 Toeplitz relations of the all-ones 3-letter
+        truncation at length 3 leaves a few tracked objects, not one per
+        relation or term."""
+        table = build_markov(Matrix01.from_rows([[1] * 3] * 3), 3).table
+        rep = zero_rep(table, 1)
+        evaluate(emit_generic(table, tight=False), rep)  # builds the table's indexes
+        gc.collect()
+        before = len(gc.get_objects())
+        pres = emit_generic(table, tight=False)
+        text = pres.render()
+        bad = evaluate(pres, rep)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert (len(pres.relations), len(text.splitlines()), bad) == (3846, 3848, ())
+        assert grown < 50
