@@ -283,7 +283,8 @@ def cmd_relations(args, report: Report) -> int:
     report.add("style", pres.style)
     report.add("generators", len(pres.generators))
     report.add("relations", len(pres.relations))
-    report.note(pres.render().rstrip("\n"))
+    if not args.json:  # --json drops the note, so the text is never rendered
+        report.note(pres.render().rstrip("\n"))
     return 0
 
 

@@ -15,6 +15,14 @@ product falls outside the carrier) and the elements hugging the bound in
 artifact; equalities are checked whenever both sides stay in the carrier.
 A table with empty artifact metadata is checked against the axiom exactly.
 
+The constructor checks only that a table is well formed.  Builders that
+prove associativity by construction call it directly: ``build_markov``,
+whose product is concatenation, and ``build_kgraph``, whose cubes are
+checked to close.  ``SemigroupoidTable.build`` also validates
+associativity, and is for tables that are not proven, such as the
+extension ``despring`` builds.  A table read from a file is checked only
+when ``validate_associativity`` is asked for.
+
 A formal unit ``UNIT`` acts as a two-sided identity in ``compose`` and has
 every element in its follower set, but is never a member of the carrier or
 of any follower set (adjoining it would itself break associativity).
@@ -225,9 +233,11 @@ class ValidationReport(Record):
 class SemigroupoidTable(Record):
     """Carrier + composable pairs + product map, with truncation metadata.
 
-    ``product`` keys are exactly the composable pairs.  Use ``build`` for
-    eagerly validated construction; the raw constructor only checks
-    well-formedness so that validators can be pointed at broken tables.
+    ``product`` keys are exactly the composable pairs.  The constructor
+    only checks well-formedness, so that validators can be pointed at
+    broken tables and builders that prove associativity by construction
+    (the Markov and k-graph truncations) do not check it again.  Use
+    ``build`` for a table that is not proven associative.
 
     Tables are immutable after construction: the composable pairs, product
     rows, followers and multiples are computed once per table, on first
@@ -273,7 +283,9 @@ class SemigroupoidTable(Record):
         boundary: Iterable[str] = (),
         artifact_pairs: Iterable[tuple[str, str]] = (),
     ) -> "SemigroupoidTable":
-        """Construct and eagerly validate; raises AssociativityError on failure."""
+        """Construct and eagerly validate; raises AssociativityError on
+        failure.  For tables that are not proven associative by their
+        construction; a builder that proves it calls the constructor."""
         table = cls(
             frozenset(elements),
             dict(product),

@@ -28,10 +28,13 @@ from .core import Record, SemigroupoidTable, SgpdError, Witness
 from .covers import BoundExceededError, CoverSpec, IntersectingPair, Uncovered, is_partition
 
 # morphisms (objects included) a truncation may have; build_kgraph counts
-# them first and refuses more.  The table grows as their square and its
-# associativity check as their cube: the one-loop 1-graph has 300 at degree
-# 299, built and checked in about 3 s on a 2-CPU host, and 401 at degree
-# 400, about 8 s; the two-loop 2-graph has 289 at (16, 16), about 1 s.
+# them first and refuses more.  The table, and the checks and presentations
+# read from it, grow as their square.  On a 2-CPU host the one-loop 1-graph
+# has 300 at degree 299, where `kgraph check` takes about 0.8 s and
+# `relations --style kp` about 1.3 s at 190 MB; the two-loop 2-graph has 289
+# at (16, 16), about 0.5 s and 0.7 s.  At 441 (the one-loop at degree 440)
+# they take about 2.5 s and 5 s at 560 MB, so the cap stays until one on
+# the product pairs replaces it.
 MORPHISM_CAP = 300
 
 
@@ -300,7 +303,11 @@ def build_kgraph(
     for g = g'e, fg is (fg')e, and m times an edge e moves e left through
     the squares while the colour before it is greater, one memoised step
     per (m, e).  A pair whose degrees sum past the bound is an artifact
-    pair."""
+    pair.
+
+    Once the cubes close, the table is associative (Hazlewood, Raeburn,
+    Sims and Webster 2013, Thm 4.4), so it is made with the plain
+    constructor, not re-validated by ``SemigroupoidTable.build``."""
     max_degree = tuple(int(x) for x in max_degree)
     if len(max_degree) != skeleton.k or any(x < 0 for x in max_degree):
         raise ValueError("max_degree must be a nonnegative vector of length k")
@@ -386,7 +393,7 @@ def build_kgraph(
         if any(d == b for d, b in zip(degree[t], max_degree))
         and degree[t] != zero
     )
-    table = SemigroupoidTable.build(tokens, product, boundary, artifacts)
+    table = SemigroupoidTable(frozenset(tokens), product, boundary, frozenset(artifacts))
 
     # unique factorisation: every split of every degree has exactly one pair
     factorizations: dict[tuple[str, tuple[int, ...]], tuple[str, str]] = {}

@@ -125,7 +125,9 @@ def enumerate_words(matrix: Matrix01, max_len: int) -> list[tuple[str, ...]]:
 def build_markov(matrix: Matrix01, max_len: int) -> MarkovTruncation:
     """Truncated word table.  The words are counted by the transfer matrix
     first: past WORD_CAP this raises BoundExceededError before enumerating,
-    and otherwise the enumeration is cross-checked against the count."""
+    and otherwise the enumeration is cross-checked against the count.
+    The product is concatenation, so the table is associative by
+    construction and is made with the plain constructor."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     expected = _transfer_matrix_count(matrix, max_len)
@@ -154,9 +156,7 @@ def build_markov(matrix: Matrix01, max_len: int) -> MarkovTruncation:
                 else:
                     artifacts.add((ta, tokens[b]))
     boundary = frozenset(tokens[w] for w in words if len(w) == max_len)
-    table = SemigroupoidTable.build(
-        tokens.values(), product, boundary, artifacts
-    )
+    table = SemigroupoidTable(frozenset(tokens.values()), product, boundary, frozenset(artifacts))
     return MarkovTruncation(matrix, max_len, table, {t: w for w, t in tokens.items()})
 
 

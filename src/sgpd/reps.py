@@ -21,8 +21,8 @@ projection and they pairwise commute, they generate a finite Boolean
 algebra whose atoms (at most ``dim`` of them) are found once per
 representation.  Each Q_f and P_f is then a bitmask over the atoms, so a
 meet is ``&``, a complement ``full & ~m`` and a join ``|``.  The masks of
-the projection symbols, the meet of a product and the matrix of a mask (the
-sum of the atoms under it) live on ``ProjectionAtoms``, the only route by
+the projection symbols and the matrix of a mask (the sum of the atoms
+under it) live on ``ProjectionAtoms``, the only route by
 which ``check_axioms``, ``check_tight`` and ``category_tightness`` decide
 or build a projection; the presentation evaluator in ``relations`` reads
 the masks too.  With atoms, ``check_axioms`` multiplies out the product
@@ -145,14 +145,6 @@ class ProjectionAtoms(Record):
         """The mask of each projection symbol: ("Q", f) is Q_f, ("P", f) is P_f."""
         out = {("Q", f): m for f, m in self.initial.items()}
         out.update((("P", f), m) for f, m in self.final.items())
-        return out
-
-    def meet(self, masks: Iterable[int]) -> int:
-        """The mask of a product of these projections: the AND of their
-        masks (they commute), and `full` for the empty product."""
-        out = self.full
-        for m in masks:
-            out &= m
         return out
 
     @cached_property

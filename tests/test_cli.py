@@ -6,6 +6,7 @@ import pytest
 import sgpd.cli
 import sgpd.kgraph
 import sgpd.markov
+import sgpd.relations
 import sgpd.springs
 from sgpd.cli import run
 from sgpd.formats import render_mat01, render_rep, render_sgpd
@@ -389,6 +390,26 @@ class TestVerbs:
         kgr.write_text("k: 1\nobjects: v\nedge: e 1 v v\n")
         code, text = run(["relations", "--style", "kp", "--kgr", str(kgr), "--maxdeg", "3"])
         assert code == 0 and "rel: kp4:" in text
+
+    def test_relations_json_renders_no_text(self, tmp_path, golden_table, golden_mat, monkeypatch):
+        # --json drops the human note, so the presentation is never rendered
+        def refuse(self):
+            raise AssertionError("rendered under --json")
+
+        monkeypatch.setattr(sgpd.relations.Presentation, "render", refuse)
+        kgr = tmp_path / "d.kgr"
+        kgr.write_text(TWO_LOOPS_KGR)
+        cases = [
+            (["--style", "generic", golden_table], "tight", 10, 575),
+            (["--style", "generic", golden_table, "--toeplitz"], "toeplitz", 10, 290),
+            (["--style", "ck", "--matrix", golden_mat], "cuntz-krieger", 2, 30),
+            (["--style", "kp", "--kgr", str(kgr), "--maxdeg", "2,2"], "kumjian-pask", 9, 60),
+        ]
+        for flags, style, generators, relations in cases:
+            assert run(["--json", "relations", *flags]) == (0, (
+                f'{{"verb": "relations", "style": "{style}", '
+                f'"generators": {generators}, "relations": {relations}}}\n'
+            ))
 
     def test_threads_env_ignored(self, golden_table, monkeypatch):
         monkeypatch.delenv("SGPD_THREADS", raising=False)

@@ -221,10 +221,13 @@ def kgraph_fields(kg):
 
 
 def assert_direct_method(kg):
-    """kg has ref_build_kgraph's fields, and folding each of its edge words
-    through the product gives the morphism whose class holds the word."""
+    """kg has ref_build_kgraph's fields, folding each of its edge words
+    through the product gives the morphism whose class holds the word, and
+    its table passes the associativity check that build_kgraph leaves to
+    the cube check."""
     fields, class_of = ref_build_kgraph(kg.skeleton, kg.max_degree)
     assert kgraph_fields(kg) == fields
+    assert validate_associativity(kg.table).ok
     product = kg.table.product
     for word, token in class_of.items():
         assert reduce(lambda f, e: product[f, e], word) == token
@@ -512,6 +515,14 @@ class TestBuildMatchesDirectMethod:
     def test_rank_three_broken_cube(self, bound):
         builds = matches_direct_method(broken_cube(), bound)
         assert builds == (0 in bound)
+
+    @pytest.mark.parametrize("bound", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 2)])
+    def test_broken_cube_without_the_cube_check(self, monkeypatch, bound):
+        # the cube check is the only guard: skipped, the broken cube builds,
+        # unique factorisation passes, and the table is not associative
+        monkeypatch.setattr(sgpd.kgraph, "_check_cubes", lambda *args: None)
+        kg = build_kgraph(broken_cube(), bound)
+        assert not validate_associativity(kg.table).ok
 
     def test_broken_cube_message(self):
         with pytest.raises(InconsistentSquares) as got:

@@ -236,6 +236,8 @@ class TestFollowerWalk:
             assert table.product == product
             assert table.artifact_pairs == artifacts
             assert table.boundary == boundary
+            # build_markov proves associativity by concatenation and does not check it
+            assert validate_associativity(table).ok
 
     def test_follows_is_the_one_columns(self):
         rng = random.Random(21)
