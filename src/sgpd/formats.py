@@ -60,7 +60,11 @@ def parse_sgpd(text: str) -> SemigroupoidTable:
             m = _COMPOSE.fullmatch(line.strip())
             if not m:
                 raise FormatError(f"line {lineno}: bad compose line {line.strip()!r}")
-            product[(m.group(1), m.group(2))] = m.group(3)
+            f, g, fg = m.groups()
+            if product.setdefault((f, g), fg) != fg:
+                raise FormatError(
+                    f"line {lineno}: {f} {g} -> {fg} contradicts {f} {g} -> {product[f, g]}"
+                )
         elif key == "elements":
             elements.update(rest.split())
         elif key == "boundary":
@@ -98,6 +102,8 @@ def parse_mat01(text: str) -> Matrix01:
                 raise FormatError(f"line {lineno}: expected the matrix size")
             n = int(line)
         elif line.startswith("labels:"):
+            if labels is not None:
+                raise FormatError(f"line {lineno}: second 'labels:' line")
             labels = tuple(line[len("labels:") :].split())
         else:
             try:
@@ -125,13 +131,17 @@ def render_mat01(matrix: Matrix01) -> str:
 
 def parse_kgr(text: str) -> KGraphSkeleton:
     k: int | None = None
-    objects: tuple[str, ...] = ()
+    objects: tuple[str, ...] | None = None
     edges: list[Edge] = []
     squares: list[tuple[tuple[str, str], tuple[str, str]]] = []
     for lineno, line in _lines(text):
         if line.startswith("k:"):
+            if k is not None:
+                raise FormatError(f"line {lineno}: second 'k:' line")
             k = _int(line[2:], lineno, "rank")
         elif line.startswith("objects:"):
+            if objects is not None:
+                raise FormatError(f"line {lineno}: second 'objects:' line")
             objects = tuple(line[len("objects:") :].split())
         elif line.startswith("edge:"):
             parts = line[len("edge:") :].split()
@@ -154,7 +164,7 @@ def parse_kgr(text: str) -> KGraphSkeleton:
     if k is None:
         raise FormatError("missing rank line 'k: <n>'")
     try:
-        return KGraphSkeleton(k, objects, tuple(edges), tuple(squares))
+        return KGraphSkeleton(k, objects or (), tuple(edges), tuple(squares))
     except (SgpdError, ValueError) as exc:
         raise FormatError(str(exc)) from exc
 

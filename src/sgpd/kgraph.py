@@ -8,9 +8,11 @@ Each class holds exactly one colour-sorted word, its normal form, when
 every tri-coloured path of length 3 closes its cube: both ways round by
 square moves reach the same word (Hazlewood, Raeburn, Sims and Webster,
 Proc. Edinb. Math. Soc. 2013, Thm 4.4).  So the truncation is built from
-the normal forms alone, once the cubes within the bound are checked.
-Degree additivity and unique factorisation are then validated
-exhaustively within the truncation rather than assumed.
+the normal forms alone, once the cubes within the bound are checked.  The
+same theorem makes its degree additive with unique factorisation, so the
+build proves both rather than walking every split; `degree_check` checks
+them literally on any table, and the test suite and CI run it on built
+truncations.
 
 Composable pairs whose degrees sum past the bound become artifact pairs of
 the underlying table, and morphisms sitting on the bound in some colour
@@ -30,10 +32,10 @@ from .covers import BoundExceededError, CoverSpec, IntersectingPair, Uncovered, 
 # morphisms (objects included) a truncation may have; build_kgraph counts
 # them first and refuses more.  The table, and the checks and presentations
 # read from it, grow as their square.  On a 2-CPU host the one-loop 1-graph
-# has 300 at degree 299, where `kgraph check` takes about 0.8 s and
-# `relations --style kp` about 1.3 s at 190 MB; the two-loop 2-graph has 289
-# at (16, 16), about 0.5 s and 0.7 s.  At 441 (the one-loop at degree 440)
-# they take about 2.5 s and 5 s at 560 MB, so the cap stays until one on
+# has 300 at degree 299, where `kgraph check` takes about 0.7 s and
+# `relations --style kp` about 1.2 s at 190 MB; the two-loop 2-graph has 289
+# at (16, 16), about 0.4 s and 0.6 s.  At 441 (the one-loop at degree 440)
+# they take about 2.2 s and 4 s at 560 MB, so the cap stays until one on
 # the product pairs replaces it.
 MORPHISM_CAP = 300
 
@@ -146,17 +148,6 @@ def _splits(
     return out
 
 
-def _split_walk(
-    table: SemigroupoidTable, degrees: Mapping[str, tuple[int, ...]]
-) -> Iterator[tuple[str, tuple[int, ...], list[tuple[str, str]]]]:
-    """(f, n, the factorisations of f at n) for every element f, sorted, and
-    every degree n in the box of d(f)."""
-    splits = _splits(table, degrees)
-    for f in sorted(table.elements):
-        for n in _box(degrees[f]):
-            yield f, n, splits.get((f, n), [])
-
-
 def _morphism_count(skeleton: KGraphSkeleton, max_degree: tuple[int, ...]) -> int:
     """The number of morphisms within `max_degree`, or some number above
     MORPHISM_CAP once past it: the objects plus the colour-sorted edge
@@ -258,7 +249,6 @@ class KGraph(Record):
     source: Mapping[str, str]
     range: Mapping[str, str]
     degree: Mapping[str, tuple[int, ...]]
-    factorizations: Mapping[tuple[str, tuple[int, ...]], tuple[str, str]]
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -286,17 +276,25 @@ class KGraph(Record):
             out[self.range[t]].append(t)
         return {v: tuple(ts) for v, ts in out.items()}
 
+    @cached_property
+    def factorizations(self) -> dict[tuple[str, tuple[int, ...]], tuple[str, str]]:
+        """(f, n) -> the unique (g, h) with gh = f and d(g) = n.  Each
+        composable pair factorises its product at the degree of its head,
+        and once the cubes close it is the only pair that does (Thm 4.4),
+        so the map is read off the product in one pass."""
+        degree = self.degree
+        return {(fg, degree[f]): (f, g) for (f, g), fg in self.table.product.items()}
+
 
 def build_kgraph(
     skeleton: KGraphSkeleton, max_degree: Sequence[int]
 ) -> KGraph:
-    """Materialise all morphisms of degree <= max_degree and validate the
-    defining identities (degree additivity, unique factorisation).  The
-    morphisms are counted first: past MORPHISM_CAP this raises
-    BoundExceededError before building any, and otherwise the build is
-    cross-checked against the count.  Then every tri-coloured path within
-    the bound must close its cube, so each square-move class holds
-    exactly one colour-sorted word.
+    """Materialise all morphisms of degree <= max_degree.  The morphisms
+    are counted first: past MORPHISM_CAP this raises BoundExceededError
+    before building any, and otherwise the build is cross-checked against
+    the count.  Then every tri-coloured path within the bound must close
+    its cube, so each square-move class holds exactly one colour-sorted
+    word.
 
     The morphisms are those words, walked from their ranges, each named
     by its edge names joined with dots.  Products are built by insertion:
@@ -305,9 +303,13 @@ def build_kgraph(
     per (m, e).  A pair whose degrees sum past the bound is an artifact
     pair.
 
-    Once the cubes close, the table is associative (Hazlewood, Raeburn,
-    Sims and Webster 2013, Thm 4.4), so it is made with the plain
-    constructor, not re-validated by ``SemigroupoidTable.build``."""
+    Once the cubes close, the table is associative, its degree is
+    additive and each morphism factorises uniquely at every split of its
+    degree (Hazlewood, Raeburn, Sims and Webster 2013, Thm 4.4).  So the
+    table is made with the plain constructor, not re-validated by
+    ``SemigroupoidTable.build``, and no split is walked: `factorize` reads
+    the lazy `KGraph.factorizations`, and `degree_check` re-checks both
+    properties on any table."""
     max_degree = tuple(int(x) for x in max_degree)
     if len(max_degree) != skeleton.k or any(x < 0 for x in max_degree):
         raise ValueError("max_degree must be a nonnegative vector of length k")
@@ -394,19 +396,7 @@ def build_kgraph(
         and degree[t] != zero
     )
     table = SemigroupoidTable(frozenset(tokens), product, boundary, frozenset(artifacts))
-
-    # unique factorisation: every split of every degree has exactly one pair
-    factorizations: dict[tuple[str, tuple[int, ...]], tuple[str, str]] = {}
-    for f, n, pairs in _split_walk(table, degree):
-        if len(pairs) != 1:
-            raise InconsistentSquares(
-                f"morphism {f} splits at degree {n} into {len(pairs)} pairs: {pairs}"
-            )
-        factorizations[(f, n)] = pairs[0]
-
-    return KGraph(
-        skeleton, max_degree, table, normal_form, source, range_, degree, factorizations
-    )
+    return KGraph(skeleton, max_degree, table, normal_form, source, range_, degree)
 
 
 def factorize(kg: KGraph, f: str, n: Sequence[int], m: Sequence[int]) -> tuple[str, str]:
@@ -512,10 +502,12 @@ def degree_check(
     table: SemigroupoidTable, degrees: Mapping[str, Sequence[int]]
 ) -> DegreeReport:
     """Validate an arbitrary table + degree map against the rank-k clauses,
-    literally: additivity on composable pairs and, for every componentwise
-    split of every degree, existence of exactly one factorisation.  The
-    report never infers around a failure (zero splits of unit-free
-    structures genuinely fail existence and are listed as such)."""
+    literally: additivity on composable pairs and, for every element in
+    sorted order and every componentwise split of its degree, existence of
+    exactly one factorisation.  The report never infers around a failure
+    (zero splits of unit-free structures genuinely fail existence and are
+    listed as such).  `build_kgraph` proves both clauses by the cube check
+    instead of running this; the test suite and CI run it on its tables."""
     degrees = {f: tuple(v) for f, v in degrees.items()}
     if set(degrees) != set(table.elements):
         raise SgpdError("degree map must cover the carrier exactly")
@@ -527,9 +519,14 @@ def degree_check(
             violations.append(
                 DegreeViolation("additivity", (f, g, fg, degrees[f], degrees[g], degrees[fg]))
             )
-    for f, n, pairs in _split_walk(table, degrees):
-        if not pairs:
-            violations.append(DegreeViolation("no-factorization", (f, n)))
-        elif len(pairs) > 1:
-            violations.append(DegreeViolation("non-unique-factorization", (f, n, tuple(pairs))))
+    splits = _splits(table, degrees)
+    for f in sorted(table.elements):
+        for n in _box(degrees[f]):
+            pairs = splits.get((f, n))
+            if not pairs:
+                violations.append(DegreeViolation("no-factorization", (f, n)))
+            elif len(pairs) > 1:
+                violations.append(
+                    DegreeViolation("non-unique-factorization", (f, n, tuple(pairs)))
+                )
     return DegreeReport(additive, tuple(violations))

@@ -371,26 +371,12 @@ def _matrices(
     return value
 
 
-def eval_term(
-    term: Term,
-    lookup: Mapping[str, RatMat],
-    dim: int,
-    memo: dict[Term, RatMat] | None = None,
-    products: Products | None = None,
-) -> RatMat:
+def eval_term(term: Term, lookup: Mapping[str, RatMat], dim: int) -> RatMat:
     """The matrix of a term, with generators read from `lookup`: the term
-    is interned into an arena of its own and evaluated as `evaluate` does.
-    `memo` holds the values of terms already evaluated under the same
-    lookup and dim, and every product is read from `products`, so each
-    distinct pair of factors is multiplied once per table."""
-    if memo is not None and term in memo:
-        return memo[term]
+    is interned into an arena of its own and evaluated as `evaluate` does."""
     arena = Arena()
     i = arena.intern(term, {})
-    value = _matrices(arena.nodes, lookup, dim, Products() if products is None else products)(i)
-    if memo is not None:
-        memo[term] = value
-    return value
+    return _matrices(arena.nodes, lookup, dim, Products())(i)
 
 
 def _atom_masks(nodes, atoms: ProjectionAtoms, symbols: Mapping) -> list[int | None]:
@@ -462,10 +448,6 @@ class Relation(Frozen):
     def __repr__(self) -> str:
         return (f"Relation(family={self.family!r}, lhs={self.lhs!r}, "
                 f"rhs={self.rhs!r}, note={self.note!r})")
-
-    def render(self) -> str:
-        family, lhs, rhs = self.key
-        return f"rel: {family}: {lhs} = {rhs}"
 
 
 class Relations(Frozen, Sequence):

@@ -70,6 +70,24 @@ class TestExitCodes:
         code, text = run(["validate", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, text, args, message",
+        [
+            ("t.sgpd", "elements: a b c\ncompose: a b -> c\ncompose: a b -> b\n", ["validate"],
+             "line 3: a b -> b contradicts a b -> c"),
+            ("t.kgr", "k: 1\nobjects: v\nk: 2\n", ["kgraph", "check", "--maxdeg", "1"],
+             "line 3: second 'k:' line"),
+            ("t.mat01", "2\nlabels: a b\nlabels: c d\n1 1\n1 0\n", ["markov", "--matrix"],
+             "line 3: second 'labels:' line"),
+        ],
+    )
+    def test_repeated_line_exits_2(self, tmp_path, name, text, args, message):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out = run(args + [str(path)])
+        assert code == 2
+        assert message in out
+
     def test_missing_file(self):
         code, _ = run(["validate", "/nonexistent/x.sgpd"])
         assert code == 2

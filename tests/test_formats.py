@@ -55,6 +55,16 @@ class TestSgpd:
         with pytest.raises(FormatError):
             parse_sgpd("# nothing\n")
 
+    def test_contradicting_compose_lines(self):
+        text = "elements: a b c\ncompose: a b -> c\ncompose: a b -> b\n"
+        with pytest.raises(FormatError, match=r"^line 3: a b -> b contradicts a b -> c$"):
+            parse_sgpd(text)
+
+    def test_repeated_compose_line(self):
+        # the same product stated twice is one product
+        table = parse_sgpd("elements: a b c\ncompose: a b -> c\ncompose:a b->c\n")
+        assert dict(table.product) == {("a", "b"): "c"}
+
 
 class TestMat01:
     def test_round_trip(self, golden):
@@ -71,6 +81,11 @@ class TestMat01:
     def test_non_binary_entry(self):
         with pytest.raises(FormatError):
             parse_mat01("1\n2\n")
+
+    @pytest.mark.parametrize("second", ["labels: c d", "labels: a b"])
+    def test_second_labels_line(self, second):
+        with pytest.raises(FormatError, match=r"^line 3: second 'labels:' line$"):
+            parse_mat01(f"2\nlabels: a b\n{second}\n1 1\n1 0\n")
 
 
 class TestKgr:
@@ -90,6 +105,22 @@ class TestKgr:
     def test_bad_rank(self):
         with pytest.raises(FormatError):
             parse_kgr("k: x\nobjects: v\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("k: 2\nk: 1\nobjects: v\n", "line 2: second 'k:' line"),
+            ("k: 1\nobjects: v\nk: 1\n", "line 3: second 'k:' line"),
+            ("k: 1\nobjects: u\nobjects: v\n", "line 3: second 'objects:' line"),
+            ("k: 1\nobjects:\nobjects: v\n", "line 3: second 'objects:' line"),
+        ],
+    )
+    def test_second_rank_or_objects_line(self, text, message):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            parse_kgr(text)
+
+    def test_objects_line_optional(self):
+        assert parse_kgr("k: 1\n").objects == ()
 
 
 class TestRep:

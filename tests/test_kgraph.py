@@ -21,6 +21,7 @@ from sgpd.kgraph import (
     _validate_squares,
     build_kgraph,
     common_extensions,
+    degree_check,
     degree_slice,
     factorize,
     rfns_check,
@@ -223,11 +224,14 @@ def kgraph_fields(kg):
 def assert_direct_method(kg):
     """kg has ref_build_kgraph's fields, folding each of its edge words
     through the product gives the morphism whose class holds the word, and
-    its table passes the associativity check that build_kgraph leaves to
-    the cube check."""
+    its table passes the associativity check and the degree walk (additive,
+    one factorisation at every split) that build_kgraph leaves to the cube
+    check."""
     fields, class_of = ref_build_kgraph(kg.skeleton, kg.max_degree)
     assert kgraph_fields(kg) == fields
     assert validate_associativity(kg.table).ok
+    report = degree_check(kg.table, kg.degree)
+    assert report.additive and not report.violations
     product = kg.table.product
     for word, token in class_of.items():
         assert reduce(lambda f, e: product[f, e], word) == token
@@ -572,6 +576,25 @@ class TestFactorize:
         assert factorize(fix_d, "b.r", (1, 1), (0, 0)) == ("b.r", "v")
         assert factorize(fix_d, "b.r", (0, 0), (1, 1)) == ("v", "b.r")
 
+    def test_no_split_is_walked(self, monkeypatch, fix_c, fix_d):
+        # the build proves unique factorisation by the cube check, and
+        # factorize reads the map off the product: neither walks the splits
+        def walked(*args):
+            raise AssertionError("the degree splits were walked")
+
+        monkeypatch.setattr(sgpd.kgraph, "_splits", walked)
+        c = build_kgraph(fix_c.skeleton, fix_c.max_degree)
+        d = build_kgraph(fix_d.skeleton, fix_d.max_degree)
+        assert kgraph_fields(c) == kgraph_fields(fix_c)
+        assert kgraph_fields(d) == kgraph_fields(fix_d)
+        assert len(build_kgraph(two_loops(), (4, 4)).normal_form) == 25
+        assert len(build_kgraph(one_loop(), (20,)).normal_form) == 21
+        assert factorize(d, "b.r", (1, 0), (0, 1)) == ("b", "r")
+        assert factorize(d, "b.r", (1, 1), (0, 0)) == ("b.r", "v")
+        assert factorize(d, "b.r", (0, 0), (1, 1)) == ("v", "b.r")
+        with pytest.raises(BadSplit):
+            factorize(d, "b.r", (1, 1), (1, 0))
+
     def test_bad_split(self, fix_d):
         with pytest.raises(BadSplit):
             factorize(fix_d, "b.r", (1, 1), (1, 0))
@@ -641,7 +664,7 @@ class TestSlicePartition:
         degree["e.e"] = (1,)
         broken = KGraph(
             fix_c.skeleton, fix_c.max_degree, fix_c.table, fix_c.normal_form,
-            fix_c.source, fix_c.range, degree, fix_c.factorizations,
+            fix_c.source, fix_c.range, degree,
         )
         verdict = slice_partition_check(broken, "v", (1,))
         assert not verdict

@@ -6,6 +6,9 @@ here as the reference.  The oracle's well-formedness walk is the
 per-item check the set-algebra `SemigroupoidTable.__post_init__`
 replaced, with one change: artifact pairs are walked in sorted order, so
 the witness it names is the least offending pair whatever the hash seed.
+The oracle also states the one-product-per-pair rule line by line: a
+`compose:` line that names another product for a pair already composed
+is refused.
 """
 
 from __future__ import annotations
@@ -65,7 +68,12 @@ def oracle_parse_sgpd(text: str):
             m = re.fullmatch(r"compose:\s*(\S+)\s+(\S+)\s*->\s*(\S+)", line)
             if not m:
                 raise FormatError(f"line {lineno}: bad compose line {line!r}")
-            product[(m.group(1), m.group(2))] = m.group(3)
+            f, g, h = m.group(1), m.group(2), m.group(3)
+            if (f, g) in product and product[(f, g)] != h:
+                raise FormatError(
+                    f"line {lineno}: {f} {g} -> {h} contradicts {f} {g} -> {product[(f, g)]}"
+                )
+            product[(f, g)] = h
         elif line.startswith("boundary:"):
             boundary.update(line[len("boundary:") :].split())
         elif line.startswith("artifact:"):
@@ -212,6 +220,7 @@ class TestSgpdAgainstOracle:
         ("elements: a\nartifact", "line 2: unrecognised line 'artifact'"),
         ("elements: a\nartifact#: a a", "line 2: unrecognised line 'artifact'"),
         ("# nothing\n", "no elements declared"),
+        ("compose: b b -> a\ncompose: b b -> b", "line 2: b b -> b contradicts b b -> a"),
     ])
     def test_cases(self, text, message):
         kind, expected = _outcome(oracle_parse_sgpd, text)

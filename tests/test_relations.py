@@ -21,7 +21,6 @@ from sgpd.relations import (
     Mul,
     One,
     Presentation,
-    Products,
     Relation,
     Relations,
     SourcesPresent,
@@ -512,10 +511,9 @@ def matrix_violations(pres, rep, rename=None):
     relation evaluated on matrices (`eval_term`), never on atom masks."""
     rename = rename or {}
     lookup = {g: rep.assign[rename.get(g, g)] for g in pres.generators}
-    memo = {}
     return tuple(
         r for r in pres.relations
-        if eval_term(r.lhs, lookup, rep.dim, memo) != eval_term(r.rhs, lookup, rep.dim, memo)
+        if eval_term(r.lhs, lookup, rep.dim) != eval_term(r.rhs, lookup, rep.dim)
     )
 
 
@@ -742,18 +740,6 @@ class TestProductTable:
             if name.startswith("perm44") and rep.dim == 3:
                 assert 0 < len(calls) <= 16, name
         assert without_atoms == 7
-
-    def test_eval_term_shares_a_table(self):
-        """eval_term reads every product from the table it is given, and
-        fills it once per pair."""
-        p = _cyclic_permutation(1)
-        lookup = {"a": p, "b": p}
-        products = Products()
-        first = eval_term(Mul((Gen("a"), Gen("b"))), lookup, 3, {}, products)
-        assert products == {(p, p): first}
-        again = eval_term(Mul((Gen("b"), Gen("a"), Gen("a"))), lookup, 3, {}, products)
-        assert again == RatMat.identity(3)
-        assert list(products) == [(p, p), (first, p)]
 
 
 # ---- the term contract on random term trees
